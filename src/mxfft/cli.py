@@ -20,9 +20,17 @@ from . import metrics
 from .errors import ConfigError, MxfftError
 from .fftcore import ModeSpec, make_plan
 from .minifloat import FORMATS
-from .mri import IMAGE, KSPACE, ComplexGrid, forward_pipeline, gen_phantom, read_grid, write_grid
+from .mri import (
+    IMAGE,
+    KSPACE,
+    ComplexGrid,
+    forward_pipeline,
+    gen_phantom,
+    read_grid,
+    roundtrip_pipeline,
+    write_grid,
+)
 from .prescale import PrescaleConfig, compute_prescale
-from .mri import roundtrip_pipeline
 
 CSV_COLUMNS = [
     "dataset_id",
@@ -73,8 +81,8 @@ class ExperimentSpec:
         if not self.blocks:
             raise ConfigError("blocks", "need at least one block size")
         for b in self.blocks:
-            if b < 2 or b % 2:
-                raise ConfigError("blocks", f"{b} is not an even integer >= 2")
+            if b < 2 or b & (b - 1):
+                raise ConfigError("blocks", f"{b} is not a power of two >= 2")
         if not self.seeds:
             raise ConfigError("seeds", "need at least one seed")
         if self.pipeline not in ("forward", "roundtrip"):
@@ -130,6 +138,7 @@ def run_experiment(spec: ExperimentSpec):
                 grid = kspace if spec.pipeline == "forward" else image
                 ref_out = _run_pipeline(grid, ref_plan, cfg, spec.pipeline)
                 inputs.append((f"phantom-{spec.kind}", seed, grid, ref_out))
+        prescale_ks = [compute_prescale(grid, cfg).k for _, _, grid, _ in inputs]
         for mode in sorted(spec.modes, key=MODE_NAMES.index):
             blocks = sorted(spec.blocks) if mode not in ("reference", "fp16") else [None]
             for block in blocks:
@@ -139,12 +148,11 @@ def run_experiment(spec: ExperimentSpec):
                     else make_plan(size, ModeSpec.from_name(mode, block or 32))
                 )
                 cell = []
-                for dataset_id, seed, grid, ref_out in inputs:
+                for (dataset_id, seed, grid, ref_out), k in zip(inputs, prescale_ks):
                     t0 = time.perf_counter()
                     out = _run_pipeline(grid, plan, cfg, spec.pipeline)
                     ms = (time.perf_counter() - t0) * 1e3
                     rep = metrics.report(ref_out, out)
-                    k = compute_prescale(grid, cfg).k
                     cell.append((rep, k, ms))
                     rows.append(
                         {

@@ -9,12 +9,18 @@ Modes:
                  exceed the element format's finite range, requantized, and
                  decoded.  Twiddles are encoded once at plan time.  The
                  add/sub operand u is never quantized; butterfly sums are
-                 accumulated in FP32.
+                 accumulated in FP32.  The transform carries two float32
+                 planes (real, imaginary) with the batch axis trailing, so
+                 each stage and each MX block is a view, block maxima are
+                 reductions over contiguous batch rows, and stage outputs
+                 ping-pong between two preallocated plane pairs.  Values
+                 outside the complex64 range raise InvalidValue.
   * FP16      -- positive control: multiplies with every intermediate
                  rounded to FP16, add/sub in FP32, inputs/outputs in FP16.
 
-No normalization is applied inside the transforms; pipelines apply 1/N**2
-where needed.
+MX block sizes B must be powers of two, so that B/2-value blocks tile every
+stage's half-groups.  No normalization is applied inside the transforms;
+pipelines apply 1/N**2 where needed.
 """
 
 from __future__ import annotations
@@ -24,9 +30,9 @@ import dataclasses
 import numpy as np
 
 from . import mxblock
-from .errors import ShapeError, UnsupportedSize
+from .errors import ConfigError, InvalidValue, ShapeError, UnsupportedSize
 from .minifloat import FP16 as _FP16_FMT
-from .minifloat import MinifloatFormat, get_format, quantize_array
+from .minifloat import MinifloatFormat, _quantize_inplace, get_format, quantize_array
 
 
 @dataclasses.dataclass(frozen=True)
@@ -37,10 +43,12 @@ class ModeSpec:
     fmt: MinifloatFormat = None
     block_size: int = 32  # B: real scalars per MX block (B/2 complex values)
 
+    def __post_init__(self):
+        if self.kind == "mx" and not (self.block_size >= 2 and _is_pow2(self.block_size)):
+            raise ConfigError("block_size", f"{self.block_size} is not a power of two >= 2")
+
     @staticmethod
     def mx(fmt: MinifloatFormat, block_size: int = 32) -> "ModeSpec":
-        if block_size < 2 or block_size % 2 != 0:
-            raise ValueError("block_size must be an even integer >= 2")
         return ModeSpec("mx", fmt, block_size)
 
     @staticmethod
@@ -107,9 +115,9 @@ class FftPlan:
 
         if mode.kind == "mx":
             self.cplx_per_block = min(mode.block_size // 2, n // 2)
+            self.mx_shapes = [_stage_shape(n, s, self.cplx_per_block) for s in range(self.stages)]
             self.mx_twiddles = [
-                _encode_blocks_batch(w.real[None], w.imag[None], self.cplx_per_block, mode.fmt)
-                for w in half_tables
+                _mx_twiddles(w, shape, mode.fmt) for w, shape in zip(half_tables, self.mx_shapes)
             ]
         elif mode.kind == "fp16":
             self.fp16_twiddles = [
@@ -122,65 +130,141 @@ def make_plan(n: int, mode: ModeSpec) -> FftPlan:
 
 
 # ---------------------------------------------------------------------------
-# MX block machinery, vectorized over (batch, block) axes.
-# The single-block semantics live in mxblock; these are the batched
-# equivalents used inside the transform loops.
+# MX block machinery on stacked float32 planes.
+#
+# The MX transform carries a (2, n, batch) float32 array: the real and
+# imaginary planes of `batch` length-n signals, transformed along axis 1.  A
+# stage with half-size h and blocks of cpb complex values views it as
+# (2, G, K, 2, R, J, batch): index 3 selects the butterfly input u or v, and
+# one MX block of v is the (re/im, k, j) sub-array at fixed (g, r), with the
+# batch axis trailing.  Either K = 1 (cpb <= h: R blocks per half-group) or
+# R = 1 (cpb > h: a block spans K whole half-groups).  Block reductions are
+# then row-wise maxima over contiguous batch rows.  The single-block
+# semantics live in mxblock and butterfly_mx; tests cross-check against both.
 # ---------------------------------------------------------------------------
 
+_F32 = np.finfo(np.float32)
+_BLOCK_AXES = (0, 2, 4)  # re/im, k, j of a stacked v view (2, G, K, R, J, batch)
 
-def _encode_blocks_batch(vr, vi, cpb: int, fmt: MinifloatFormat):
-    """Encode (batch, m) real/imag arrays as blocks of cpb complex values.
 
-    Returns (codes_r, codes_i, scales) with shapes (batch, nb, cpb) x2 and
-    (batch, nb); one shared power-of-two scale per block over both
-    components, per the interleaved-block convention.
+def _product_dtype(fmt: MinifloatFormat):
+    """Dtype of the MX encode, mantissa product and requantize.
+
+    FP32 products are exact-range for element formats up to 16 bits; wide
+    test formats would overflow FP32 mantissa products, so they use FP64.
+    FP32 also needs half the format's smallest subnormal step to be a normal
+    float32, so that the encode's rounding never sees a float32 subnormal.
     """
-    b, m = vr.shape
-    nb = m // cpb
-    vr = np.asarray(vr, dtype=np.float64).reshape(b, nb, cpb)
-    vi = np.asarray(vi, dtype=np.float64).reshape(b, nb, cpb)
-    amax = np.maximum(np.abs(vr), np.abs(vi)).max(axis=-1)
+    narrow = 2 * (fmt.emax + 1) <= 126 and fmt.emin - fmt.mantissa_bits - 1 >= _F32.minexp
+    return np.float32 if narrow else np.float64
+
+
+def _stage_shape(n: int, s: int, cpb: int) -> tuple:
+    """(G, K, 2, R, J): stage s of a length-n transform with cpb-value blocks."""
+    half = 1 << s
+    j = min(cpb, half)
+    k = cpb // j
+    return (n // (2 * half * k), k, 2, half // j, j)
+
+
+def _within(a, lo: float, hi: float) -> bool:
+    return bool(a.min() >= lo and a.max() <= hi)
+
+
+def _non_finite() -> InvalidValue:
+    return InvalidValue(
+        f"non-finite value in the MX transform: real and imaginary parts must stay "
+        f"within the complex64 range (|x| <= {_F32.max:.7g})"
+    )
+
+
+def _mx_encode(v: np.ndarray, fmt: MinifloatFormat):
+    """Encode stacked block views v (2, G, K, R, J, batch).
+
+    Returns (codes, scales): codes like v, in the product dtype, and one
+    shared power-of-two scale per block over both components, shape
+    (1, G, 1, R, 1, batch).  Float32 input is encoded in float32 when every
+    1/scale is a normal float32, which makes v * (1/scale) exact; otherwise,
+    and for float64 input, in float64.
+    """
+    amax = np.abs(v).max(axis=_BLOCK_AXES, keepdims=True)
+    if not amax.max() <= _F32.max:  # also catches NaN
+        raise _non_finite()
     scales = mxblock.block_scales(amax, fmt)
-    inv = 1.0 / scales[..., None]  # exact: reciprocal of a power of two
-    codes_r = quantize_array(vr * inv, fmt)
-    codes_i = quantize_array(vi * inv, fmt)
-    return codes_r, codes_i, scales
+    dtype = _product_dtype(fmt)
+    if v.dtype != np.float32 or not _within(scales, 2.0**_F32.minexp, 2.0**-_F32.minexp):
+        dtype = np.float64
+    codes = _quantize_inplace(np.multiply(v, (1.0 / scales).astype(dtype), dtype=dtype), fmt)
+    return codes.astype(_product_dtype(fmt), copy=False), scales
 
 
-def _mx_multiply_batch(vr, vi, w_enc, fmt: MinifloatFormat, cpb: int) -> np.ndarray:
-    """Blockwise MX complex multiply w*v for a whole stage.
+def _mx_multiply(v: np.ndarray, w, fmt: MinifloatFormat) -> np.ndarray:
+    """Blockwise MX complex multiply w*v of a stage, decoded to float32.
 
-    v is (batch, m) split into real/imag; w_enc holds the prequantized
-    twiddle blocks (codes_r, codes_i, scales) of shape (1, nb, cpb)/(1, nb).
-    Implements the mantissa-space product with per-block renormalization and
-    requantization; returns the decoded products, shape (batch, m) complex.
+    v is the stacked (2, G, K, R, J, batch) view of the stage's v operands;
+    w holds the prequantized twiddle blocks (codes_r, codes_i, scales) in
+    broadcast shapes.  Implements the mantissa-space product with per-block
+    renormalization and requantization.
     """
-    b, m = vr.shape
-    wcr, wci, ws = w_enc
-    cvr, cvi, sv = _encode_blocks_batch(vr, vi, cpb, fmt)
-    # FP32 products are exact-range for <=16-bit element formats; wide test
-    # formats would overflow FP32 mantissa products, so promote for those.
-    ptype = np.float32 if 2 * (fmt.emax + 1) <= 126 else np.float64
-    xr = wcr.astype(ptype)
-    xi = wci.astype(ptype)
-    yr = cvr.astype(ptype)
-    yi = cvi.astype(ptype)
-    p_r = xr * yr - xi * yi
-    p_i = xr * yi + xi * yr
+    wr, wi, ws = w
+    y, sv = _mx_encode(v, fmt)
+    p = np.empty_like(y)
+    tmp = np.empty_like(y[0])
+    np.multiply(wr, y[0], out=p[0])
+    p[0] -= np.multiply(wi, y[1], out=tmp)
+    np.multiply(wr, y[1], out=p[1])
+    p[1] += np.multiply(wi, y[0], out=tmp)
     s_out = ws * sv  # powers of two; product exact
-    amax = np.maximum(np.abs(p_r), np.abs(p_i)).max(axis=-1).astype(np.float64)
-    shift = np.zeros(amax.shape, dtype=np.int64)
-    over = amax > fmt.max_finite
-    if np.any(over):
-        shift[over] = np.ceil(np.log2(amax[over] / fmt.max_finite)).astype(np.int64)
-        fac = np.ldexp(np.ones(1, dtype=ptype), -shift)[..., None]
-        p_r = p_r * fac
-        p_i = p_i * fac
-        s_out = s_out * np.ldexp(1.0, shift)
-    c_r = quantize_array(p_r.astype(np.float64), fmt)
-    c_i = quantize_array(p_i.astype(np.float64), fmt)
-    wv = (c_r + 1j * c_i) * s_out[..., None]
-    return wv.reshape(b, m)
+    # renormalize blocks whose products exceed the finite range: shift 0 elsewhere
+    amax = np.abs(p, out=y).max(axis=_BLOCK_AXES, keepdims=True).astype(np.float64)
+    ratio = np.maximum(amax, fmt.max_finite) / fmt.max_finite
+    shift = np.ceil(np.log2(ratio)).astype(np.int64)
+    p *= np.ldexp(np.ones(1, dtype=p.dtype), -shift)
+    s_out = s_out * np.ldexp(1.0, shift)
+    _quantize_inplace(p, fmt, saturate=False)  # now |p| <= max_finite
+    # decode: one rounding of the exact product codes * scale to float32
+    if _within(s_out, 2.0 ** (_F32.minexp - _F32.nmant), 2.0 ** (_F32.maxexp - 1)):
+        s_out = s_out.astype(np.float32)  # exact: a float32 power of two
+    out = p if p.dtype == np.float32 else np.empty(p.shape, dtype=np.float32)
+    return np.multiply(p, s_out, out=out, casting="same_kind")
+
+
+def _mx_twiddles(w: np.ndarray, shape: tuple, fmt: MinifloatFormat):
+    """Encode one stage's twiddle table (butterfly order) as broadcast blocks.
+
+    Every block row (g, k) holds the same values, so only the first is kept:
+    codes (1, 1, R, J, 1) in the product dtype and scales (1, 1, R, 1, 1).
+    """
+    g, k, _, r, j = shape
+    wv = np.stack((w.real, w.imag)).reshape(2, g, k, r, j, 1)
+    codes, scales = _mx_encode(wv, fmt)
+    return codes[0, :1, :1], codes[1, :1, :1], scales[0, :1]
+
+
+def _fft_mx(re: np.ndarray, im: np.ndarray, plan: "FftPlan", inverse: bool) -> np.ndarray:
+    """MX transforms of the columns of (n, batch) real/imag arrays.
+
+    Returns the (2, n, batch) float32 planes of the results.  Raises
+    InvalidValue if the input or any intermediate leaves the complex64 range.
+    """
+    fmt = plan.mode.fmt
+    src = np.empty((2,) + re.shape, dtype=np.float32)
+    dst = np.empty_like(src)
+    with np.errstate(over="ignore", invalid="ignore"):
+        src[0] = re[plan.bitrev]
+        src[1] = im[plan.bitrev]
+        for shape, (wr, wi, ws) in zip(plan.mx_shapes, plan.mx_twiddles):
+            if inverse:
+                wi = -wi  # conjugation is exact on codes
+            x = src.reshape((2,) + shape + (re.shape[1],))
+            y = dst.reshape(x.shape)
+            t = _mx_multiply(x[:, :, :, 1], (wr, wi, ws), fmt)
+            np.add(x[:, :, :, 0], t, out=y[:, :, :, 0])
+            np.subtract(x[:, :, :, 0], t, out=y[:, :, :, 1])
+            src, dst = dst, src
+    if not np.isfinite(src).all():
+        raise _non_finite()
+    return src
 
 
 def butterfly_mx(u, v, w, fmt: MinifloatFormat):
@@ -211,9 +295,7 @@ def butterfly_mx(u, v, w, fmt: MinifloatFormat):
     v_blk = mxblock.encode_block_mx(inter, fmt)
     x_r, x_i = mxblock.mantissas_block(w_blk)
     y_r, y_i = mxblock.mantissas_block(v_blk)
-    # same product-dtype rule as the batched path: mantissa products of very
-    # wide formats can exceed the float32 range
-    ptype = np.float32 if 2 * (fmt.emax + 1) <= 126 else np.float64
+    ptype = _product_dtype(fmt)
     x_r = x_r.astype(ptype)
     x_i = x_i.astype(ptype)
     y_r = y_r.astype(ptype)
@@ -257,29 +339,11 @@ def _fft_batch_reference(x: np.ndarray, plan: FftPlan, inverse: bool) -> np.ndar
 
 
 def _fft_batch_mx(x: np.ndarray, plan: FftPlan, inverse: bool) -> np.ndarray:
-    fmt = plan.mode.fmt
-    cpb = plan.cplx_per_block
-    y = x[:, plan.bitrev].astype(np.complex64)
-    b = y.shape[0]
-    for s in range(plan.stages):
-        half = 1 << s
-        wcr, wci, ws = plan.mx_twiddles[s]
-        if inverse:
-            wci = -wci  # conjugation is exact on codes
-        view = y.reshape(b, -1, 2 * half)
-        u = view[..., :half]
-        v = view[..., half:]
-        vflat = v.reshape(b, plan.n // 2)
-        wv = _mx_multiply_batch(
-            vflat.real.astype(np.float64),
-            vflat.imag.astype(np.float64),
-            (wcr, wci, ws),
-            fmt,
-            cpb,
-        ).astype(np.complex64)
-        t = wv.reshape(b, -1, half)
-        y = np.concatenate((u + t, u - t), axis=-1).reshape(b, plan.n)
-    return y
+    y = _fft_mx(x.real.T, x.imag.T, plan, inverse)
+    out = np.empty(x.shape, dtype=np.complex64)
+    out.real = y[0].T
+    out.imag = y[1].T
+    return out
 
 
 def _fft_batch_fp16(x: np.ndarray, plan: FftPlan, inverse: bool) -> np.ndarray:
@@ -348,6 +412,18 @@ def fft_2d(x, plan: FftPlan, direction: str = "forward") -> np.ndarray:
         raise UnsupportedSize("fft_2d expects a square grid")
     if x.shape[0] != plan.n:
         raise UnsupportedSize(f"grid size {x.shape[0]} does not match plan size {plan.n}")
+    if direction not in ("forward", "inverse"):
+        raise ValueError(f"direction must be 'forward' or 'inverse', got {direction!r}")
+    if plan.mode.kind == "mx":
+        # the first pass leaves (2, k, row) planes: its transposes are the
+        # second pass's (row, column) input, and that pass's output is in order
+        inverse = direction == "inverse"
+        rows = _fft_mx(x.real.T, x.imag.T, plan, inverse)
+        cols = _fft_mx(rows[0].T, rows[1].T, plan, inverse)
+        out = np.empty(x.shape, dtype=np.complex128)
+        out.real = cols[0]
+        out.imag = cols[1]
+        return out
     rows = _fft_batch(x, plan, direction)
     cols = _fft_batch(np.ascontiguousarray(rows.T), plan, direction)
     return np.asarray(cols.T, dtype=np.complex128)

@@ -120,6 +120,41 @@ def quantize_array(values, fmt: MinifloatFormat) -> np.ndarray:
     return np.clip(q, -fmt.max_finite, fmt.max_finite)
 
 
+def _quantize_inplace(x: np.ndarray, fmt: MinifloatFormat, saturate: bool = True) -> np.ndarray:
+    """quantize_array on a finite float32/float64 array, in place, in its own dtype.
+
+    Bit-identical to quantize_array, but skips the finiteness check (callers
+    check once at their boundary) and works on the exponent bits instead of
+    frexp/ldexp: the binade 2^max(floor(log2|x|), emin) is the exponent field
+    with the mantissa masked off, floored at 2^emin; step = binade * 2^-M and
+    1/step are formed by integer arithmetic on those bits.  Then x * (1/step)
+    is rounded half-to-even by rint and multiplied back by step, both exact.
+    Saturating first, rather than clipping last as quantize_array does, gives
+    the same result and cannot overflow.  saturate=False skips that clip; only
+    for callers that guarantee |x| <= max_finite.
+    """
+    info = np.finfo(x.dtype)
+    mbits = info.nmant
+    if saturate:
+        np.clip(x, -fmt.max_finite, fmt.max_finite, out=x)
+    if fmt.mantissa_bits >= mbits and fmt.emin <= info.minexp:
+        return x  # every value of x's dtype is on the format's grid
+    if fmt.emin - fmt.mantissa_bits < info.minexp:
+        raise ValueError(f"{fmt.name} steps are not normal {x.dtype} values")
+    utype = np.dtype(f"u{x.itemsize}").type
+    bias = info.maxexp - 1
+    binade = x.view(utype) & utype(((1 << info.nexp) - 1) << mbits)
+    floor = np.empty(binade.shape, dtype=x.dtype)
+    floor.fill(2.0**fmt.emin)  # a full operand: numpy's scalar maximum is slow
+    np.maximum(binade.view(x.dtype), floor, out=binade.view(x.dtype))
+    step = binade - utype(fmt.mantissa_bits << mbits)
+    np.subtract(utype((2 * bias + fmt.mantissa_bits) << mbits), binade, out=binade)
+    x *= binade.view(x.dtype)  # 1/step
+    np.rint(x, out=x)  # round half to even
+    x *= step.view(x.dtype)
+    return x
+
+
 def quantize_scalar(value: float, fmt: MinifloatFormat) -> float:
     """Scalar form of quantize_array."""
     if not math.isfinite(value):

@@ -53,6 +53,11 @@ class TestSpecValidation:
         with pytest.raises(ConfigError):
             _spec(**kw).validate()
 
+    @pytest.mark.parametrize("block", [6, 12])
+    def test_rejects_non_power_of_two_block(self, block):
+        with pytest.raises(ConfigError, match="blocks"):
+            _spec(blocks=[8, block]).validate()
+
     def test_unknown_mode_lists_registry(self):
         with pytest.raises(ConfigError, match="e4m3"):
             _spec(modes=["bogus"]).validate()
@@ -156,6 +161,12 @@ class TestMain:
         code, _, err = _run_main(["forward", "--mode", "e4m3", "--size", "48", "--seeds", "1"])
         assert code == 2
         assert "power of two" in err
+
+    @pytest.mark.parametrize("block", ["6", "12"])
+    def test_non_power_of_two_block_exits_2_naming_the_field(self, block):
+        code, _, err = _run_main(["forward", "--block", block, "--size", "64", "--seeds", "1"])
+        assert code == 2
+        assert "blocks" in err and "power of two" in err
 
     def test_gen_phantom_and_input_flow(self, tmp_path):
         ksp = tmp_path / "k.mxcg"

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from mxfft import (
     E3M2,
     E4M3,
     E5M2,
+    ConfigError,
     MinifloatFormat,
     ModeSpec,
     ShapeError,
@@ -18,7 +21,7 @@ from mxfft import (
     fft_2d,
     make_plan,
 )
-from mxfft.fftcore import _encode_blocks_batch, _mx_multiply_batch
+from mxfft.fftcore import _mx_multiply, _mx_twiddles
 
 from conftest import brute_dft
 
@@ -48,9 +51,10 @@ class TestPlan:
     def test_mx_twiddles_within_roundtrip_bound(self):
         p = make_plan(8, ModeSpec.mx(E4M3, 32))
         for s, (wcr, wci, ws) in enumerate(p.mx_twiddles):
-            dec = (wcr + 1j * wci) * ws[..., None]
-            ref = p.ref_twiddles[s].reshape(dec.shape)
-            bound = ws[..., None] * 2.0 ** (E4M3.emax - E4M3.mantissa_bits) / 2
+            # one block row per stage: the table's first half-group, (1, 1, R, J, 1)
+            dec = (wcr + 1j * wci) * ws
+            ref = p.ref_twiddles[s][: dec.size].reshape(dec.shape)
+            bound = ws * 2.0 ** (E4M3.emax - E4M3.mantissa_bits) / 2
             assert np.all(np.abs(dec.real - ref.real) <= bound)
             assert np.all(np.abs(dec.imag - ref.imag) <= bound)
 
@@ -145,21 +149,21 @@ class TestButterflyMx:
         assert np.all(np.abs(y0 - exact) <= bound)
 
     def test_batched_path_matches_single_block(self, rng):
-        # the transform's vectorized multiply must agree bit-for-bit with the
-        # literal single-block butterfly
-        for _ in range(20):
+        # the transform's vectorized multiply, on the float32 planes it
+        # carries, must agree bit-for-bit with the literal single-block butterfly
+        for fmt, _ in itertools.product((E4M3, E5M2, E2M3, E3M2), range(20)):
             cpb = int(rng.choice([1, 4, 16]))
             u = rng.standard_normal(cpb) + 1j * rng.standard_normal(cpb)
-            v = rng.standard_normal(cpb) + 1j * rng.standard_normal(cpb)
+            v = (rng.standard_normal(cpb) + 1j * rng.standard_normal(cpb)).astype(np.complex64)
             w = np.exp(-2j * np.pi * rng.uniform(0, 1, cpb))
-            w_enc = _encode_blocks_batch(w.real[None], w.imag[None], cpb, E4M3)
-            wv = _mx_multiply_batch(
-                v.real[None], v.imag[None], w_enc, E4M3, cpb
-            )[0]
-            y0, y1 = butterfly_mx(u, v, w, E4M3)
+            shape = (1, 1, 2, 1, cpb)  # one stage view holding exactly one block
+            planes = np.stack((v.real, v.imag)).reshape(2, 1, 1, 1, cpb, 1)
+            t = _mx_multiply(planes, _mx_twiddles(w, shape, fmt), fmt).reshape(2, cpb)
+            wv = t[0] + 1j * t[1]
+            y0, y1 = butterfly_mx(u, v, w, fmt)
             u32 = u.astype(np.complex64)
-            assert np.array_equal(y0, u32 + wv.astype(np.complex64))
-            assert np.array_equal(y1, u32 - wv.astype(np.complex64))
+            assert np.array_equal(y0, u32 + wv)
+            assert np.array_equal(y1, u32 - wv)
 
 
 class TestMxMode:
@@ -249,6 +253,14 @@ class TestFp16Mode:
     def test_requires_fp16_plan(self):
         with pytest.raises(ValueError):
             fft_1d_fp16(np.zeros(8, complex), make_plan(8, ModeSpec.reference()))
+
+
+@pytest.mark.parametrize("block", [0, 3, 6, 12, 24])
+def test_mx_blocks_must_be_powers_of_two(block):
+    # stage views split each half-group into B/2-value blocks, so B/2 must be
+    # a power of two
+    with pytest.raises(ConfigError, match="block_size"):
+        ModeSpec.mx(E4M3, block)
 
 
 def test_mode_from_name():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from mxfft import (
     E2M3,
@@ -20,9 +21,12 @@ from mxfft import (
     quantize_scalar,
 )
 
+from mxfft.minifloat import _quantize_inplace
+
 from conftest import mantissa_parity, nn_quantize
 
 ALL = [E4M3, E5M2, E2M3, E3M2, FP16]
+WIDE = MinifloatFormat("wide", 8, 23, "ieee")
 
 
 class TestFormatConstants:
@@ -163,3 +167,60 @@ def test_output_always_representable(x):
 @settings(max_examples=200)
 def test_symmetric_in_sign(x):
     assert quantize_scalar(-x, E5M2) == -quantize_scalar(x, E5M2)
+
+
+# ---------------------------------------------------------------------------
+# The in-place bit-level quantizer the MX kernel uses must equal the public
+# quantize_array bit for bit (signed zeros included) in float32 and float64.
+# ---------------------------------------------------------------------------
+
+QUANTIZER_CASES = [(f, d) for f in ALL + [WIDE] for d in (np.float32, np.float64)]
+
+
+def _assert_private_quantizer_matches(x, fmt, saturate=True):
+    with np.errstate(over="ignore"):  # quantize_array's rounding overflows near the float64 max
+        want = quantize_array(x.astype(np.float64), fmt)
+    got = _quantize_inplace(x.copy(), fmt, saturate=saturate)
+    assert got.dtype == x.dtype
+    assert np.array_equal(got.astype(np.float64).view(np.uint64), want.view(np.uint64))
+
+
+def _edge_values(fmt, dtype):
+    """Signed zeros, float32 subnormals, exact ties in every binade of the
+    format (its subnormal range included), max_finite and the values just
+    above it; only those exactly representable in `dtype`."""
+    m = fmt.mantissa_bits
+    vals = [0.0, 2.0**-149, 3 * 2.0**-149, 2.0**-127 - 2.0**-149, 2.0**-126]
+    ks = sorted({0, 1, 2, 3, (1 << m) - 2, (1 << m) - 1})
+    for e in range(fmt.emin - 1, fmt.emax + 1):  # emin - 1: the subnormal range
+        base = 0.0 if e < fmt.emin else 2.0**e
+        step = 2.0 ** (max(e, fmt.emin) - m)
+        vals += [base + (k + 0.5) * step for k in ks]
+    top = fmt.max_finite
+    ulp = 2.0 ** (fmt.emax - m)
+    vals += [top, top + ulp / 2, top + ulp, 2.0 ** (fmt.emax + 1)]
+    with np.errstate(over="ignore"):
+        vals += [float(np.nextafter(dtype(top), dtype(np.inf)))]
+        x = np.array(vals, dtype=np.float64)
+        x = np.concatenate([x, -x])
+        exact = np.isfinite(x) & (x.astype(dtype).astype(np.float64) == x)
+    return x[exact].astype(dtype)
+
+
+@pytest.mark.parametrize("fmt,dtype", QUANTIZER_CASES, ids=lambda c: getattr(c, "name", None) or np.dtype(c).name)
+def test_private_quantizer_edges(fmt, dtype):
+    x = _edge_values(fmt, dtype)
+    assert np.signbit(x[x == 0]).any()  # -0.0 is covered
+    _assert_private_quantizer_matches(x, fmt)
+    _assert_private_quantizer_matches(x[np.abs(x) <= fmt.max_finite], fmt, saturate=False)
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_private_quantizer_matches_public(data):
+    fmt, dtype = data.draw(st.sampled_from(QUANTIZER_CASES))
+    elements = st.floats(
+        allow_nan=False, allow_infinity=False, width=np.dtype(dtype).itemsize * 8
+    )
+    x = data.draw(hnp.arrays(dtype, st.integers(1, 64), elements=elements))
+    _assert_private_quantizer_matches(x, fmt)
