@@ -95,7 +95,8 @@ class FftPlan:
     Immutable after construction; safe to share across threads.  Twiddles are
     stored per stage in butterfly order (the flattened (group, j) iteration
     order), forward direction; the inverse conjugates them, which is exact for
-    every mode.
+    every mode.  MX plans also hold each stage's view shape (mx_shapes) and
+    its twiddles encoded once as MX blocks (mx_twiddles, see _mx_twiddles).
     """
 
     def __init__(self, n: int, mode: ModeSpec):
@@ -191,11 +192,11 @@ def _mx_encode(v: np.ndarray, fmt: MinifloatFormat):
     if not amax.max() <= _F32.max:  # also catches NaN
         raise _non_finite()
     scales = mxblock.block_scales(amax, fmt)
-    dtype = _product_dtype(fmt)
-    if v.dtype != np.float32 or not _within(scales, 2.0**_F32.minexp, 2.0**-_F32.minexp):
-        dtype = np.float64
+    ptype = _product_dtype(fmt)
+    exact32 = v.dtype == np.float32 and _within(scales, 2.0**_F32.minexp, 2.0**-_F32.minexp)
+    dtype = ptype if exact32 else np.float64
     codes = _quantize_inplace(np.multiply(v, (1.0 / scales).astype(dtype), dtype=dtype), fmt)
-    return codes.astype(_product_dtype(fmt), copy=False), scales
+    return codes.astype(ptype, copy=False), scales
 
 
 def _mx_multiply(v: np.ndarray, w, fmt: MinifloatFormat) -> np.ndarray:
@@ -382,12 +383,17 @@ _BATCH_FNS = {
 }
 
 
-def _fft_batch(x: np.ndarray, plan: FftPlan, direction: str) -> np.ndarray:
+def _is_inverse(direction: str) -> bool:
     if direction not in ("forward", "inverse"):
         raise ValueError(f"direction must be 'forward' or 'inverse', got {direction!r}")
+    return direction == "inverse"
+
+
+def _fft_batch(x: np.ndarray, plan: FftPlan, direction: str) -> np.ndarray:
+    inverse = _is_inverse(direction)
     if x.shape[1] != plan.n:
         raise ShapeError(f"expected length {plan.n}, got {x.shape[1]}")
-    return _BATCH_FNS[plan.mode.kind](x, plan, direction == "inverse")
+    return _BATCH_FNS[plan.mode.kind](x, plan, inverse)
 
 
 def fft_1d(x, plan: FftPlan, direction: str = "forward") -> np.ndarray:
@@ -412,12 +418,11 @@ def fft_2d(x, plan: FftPlan, direction: str = "forward") -> np.ndarray:
         raise UnsupportedSize("fft_2d expects a square grid")
     if x.shape[0] != plan.n:
         raise UnsupportedSize(f"grid size {x.shape[0]} does not match plan size {plan.n}")
-    if direction not in ("forward", "inverse"):
-        raise ValueError(f"direction must be 'forward' or 'inverse', got {direction!r}")
     if plan.mode.kind == "mx":
-        # the first pass leaves (2, k, row) planes: its transposes are the
-        # second pass's (row, column) input, and that pass's output is in order
-        inverse = direction == "inverse"
+        # _fft_mx transforms columns, so the row pass reads x transposed and
+        # returns planes indexed (k, row); their transposes are the columns
+        # of the row-transformed grid, and the column pass returns (k, l) as is
+        inverse = _is_inverse(direction)
         rows = _fft_mx(x.real.T, x.imag.T, plan, inverse)
         cols = _fft_mx(rows[0].T, rows[1].T, plan, inverse)
         out = np.empty(x.shape, dtype=np.complex128)

@@ -3,8 +3,10 @@
 Covers the 8-bit (E4M3, E5M2), 6-bit (E2M3, E3M2) and 16-bit (FP16)
 element formats.  Quantization is round-to-nearest, ties-to-even, with
 saturation to the largest finite magnitude and gradual underflow through
-subnormals.  All internal arithmetic is FP64, so the codec itself is exact
-relative to its definition.
+subnormals.  All internal arithmetic of quantize_array is FP64, so the codec
+itself is exact relative to its definition; the in-place variant the MX kernel
+uses works on the exponent bits in float32 or float64 and matches it bit for
+bit.
 """
 
 from __future__ import annotations
@@ -131,7 +133,8 @@ def _quantize_inplace(x: np.ndarray, fmt: MinifloatFormat, saturate: bool = True
     is rounded half-to-even by rint and multiplied back by step, both exact.
     Saturating first, rather than clipping last as quantize_array does, gives
     the same result and cannot overflow.  saturate=False skips that clip; only
-    for callers that guarantee |x| <= max_finite.
+    for callers that guarantee |x| <= max_finite.  Formats whose step or 1/step
+    is not a normal value of x's dtype fall back to quantize_array itself.
     """
     info = np.finfo(x.dtype)
     mbits = info.nmant
@@ -139,8 +142,9 @@ def _quantize_inplace(x: np.ndarray, fmt: MinifloatFormat, saturate: bool = True
         np.clip(x, -fmt.max_finite, fmt.max_finite, out=x)
     if fmt.mantissa_bits >= mbits and fmt.emin <= info.minexp:
         return x  # every value of x's dtype is on the format's grid
-    if fmt.emin - fmt.mantissa_bits < info.minexp:
-        raise ValueError(f"{fmt.name} steps are not normal {x.dtype} values")
+    if fmt.emin - fmt.mantissa_bits < info.minexp or fmt.mantissa_bits - fmt.emin >= info.maxexp:
+        x[...] = quantize_array(x, fmt)
+        return x
     utype = np.dtype(f"u{x.itemsize}").type
     bias = info.maxexp - 1
     binade = x.view(utype) & utype(((1 << info.nexp) - 1) << mbits)

@@ -174,7 +174,13 @@ def test_symmetric_in_sign(x):
 # quantize_array bit for bit (signed zeros included) in float32 and float64.
 # ---------------------------------------------------------------------------
 
-QUANTIZER_CASES = [(f, d) for f in ALL + [WIDE] for d in (np.float32, np.float64)]
+# e8m10's float32 steps reach below the normal range and e11m4's float64
+# steps do too: both take the quantize_array fallback there
+E8M10 = MinifloatFormat("e8m10", 8, 10, "ieee")
+E11M4 = MinifloatFormat("e11m4", 11, 4, "ieee")
+QUANTIZER_CASES = [
+    (f, d) for f in ALL + [WIDE, E8M10] for d in (np.float32, np.float64)
+] + [(E11M4, np.float64)]
 
 
 def _assert_private_quantizer_matches(x, fmt, saturate=True):
@@ -198,7 +204,7 @@ def _edge_values(fmt, dtype):
         vals += [base + (k + 0.5) * step for k in ks]
     top = fmt.max_finite
     ulp = 2.0 ** (fmt.emax - m)
-    vals += [top, top + ulp / 2, top + ulp, 2.0 ** (fmt.emax + 1)]
+    vals += [top, top + ulp / 2, top + ulp, math.ldexp(1.0, min(fmt.emax + 1, 1023))]
     with np.errstate(over="ignore"):
         vals += [float(np.nextafter(dtype(top), dtype(np.inf)))]
         x = np.array(vals, dtype=np.float64)
