@@ -47,7 +47,6 @@ from .fftcore import (
     ModeSpec,
     butterfly_mx,
     fft_1d,
-    fft_1d_fp16,
     fft_2d,
     make_plan,
 )

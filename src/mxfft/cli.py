@@ -23,7 +23,8 @@ from .minifloat import FORMATS
 from .mri import (
     IMAGE,
     KSPACE,
-    ComplexGrid,
+    PHANTOM_NOISE,
+    PHANTOM_TAIL,
     forward_pipeline,
     gen_phantom,
     read_grid,
@@ -61,8 +62,8 @@ class ExperimentSpec:
     pipeline: str = "forward"
     coils: int = 4
     kind: str = "blobs"
-    tail: float = 0.2
-    noise: float = 0.1
+    tail: float = PHANTOM_TAIL
+    noise: float = PHANTOM_NOISE
     prescale: PrescaleConfig = dataclasses.field(default_factory=PrescaleConfig)
     input_path: str = None  # MXCG file instead of phantoms
     out: str = None
@@ -111,6 +112,16 @@ def _mean_std(vals):
     return m, math.sqrt(var)
 
 
+def _row(cell, dataset_id, seed, values, stds, prescale_k, ms):
+    """One CSV row of cell (size, mode, block, pipeline): the psnr/ssim/nmse
+    values (per seed, or means) and their std columns (empty per seed)."""
+    size, mode, block, pipeline = cell
+    block = "" if block is None else str(block)
+    fields = [dataset_id, str(seed), str(size), mode, block, pipeline]
+    fields += [_fmt(v) for v in values] + list(stds) + [prescale_k, f"{ms:.3f}"]
+    return dict(zip(CSV_COLUMNS, fields))
+
+
 def run_experiment(spec: ExperimentSpec):
     """Run the full experiment matrix; returns a list of CSV row dicts.
 
@@ -138,7 +149,7 @@ def run_experiment(spec: ExperimentSpec):
                 grid = kspace if spec.pipeline == "forward" else image
                 ref_out = _run_pipeline(grid, ref_plan, cfg, spec.pipeline)
                 inputs.append((f"phantom-{spec.kind}", seed, grid, ref_out))
-        prescale_ks = [compute_prescale(grid, cfg).k for _, _, grid, _ in inputs]
+        prescale_ks = [compute_prescale(grid.data, cfg).k for _, _, grid, _ in inputs]
         for mode in sorted(spec.modes, key=MODE_NAMES.index):
             blocks = sorted(spec.blocks) if mode not in ("reference", "fp16") else [None]
             for block in blocks:
@@ -147,51 +158,21 @@ def run_experiment(spec: ExperimentSpec):
                     if mode == "reference"
                     else make_plan(size, ModeSpec.from_name(mode, block or 32))
                 )
-                cell = []
+                cell = (size, mode, block, spec.pipeline)
+                results = []  # (metric values, ms) per input
                 for (dataset_id, seed, grid, ref_out), k in zip(inputs, prescale_ks):
                     t0 = time.perf_counter()
                     out = _run_pipeline(grid, plan, cfg, spec.pipeline)
                     ms = (time.perf_counter() - t0) * 1e3
                     rep = metrics.report(ref_out, out)
-                    cell.append((rep, k, ms))
-                    rows.append(
-                        {
-                            "dataset_id": dataset_id,
-                            "seed": str(seed),
-                            "size": str(size),
-                            "mode": mode,
-                            "block": "" if block is None else str(block),
-                            "pipeline": spec.pipeline,
-                            "psnr": _fmt(rep.psnr_db),
-                            "ssim": _fmt(rep.ssim),
-                            "nmse": _fmt(rep.nmse),
-                            "psnr_std": "",
-                            "ssim_std": "",
-                            "nmse_std": "",
-                            "prescale_k": str(k),
-                            "runtime_ms": f"{ms:.3f}",
-                        }
-                    )
-                psnr_m, psnr_s = _mean_std([c[0].psnr_db for c in cell])
-                ssim_m, ssim_s = _mean_std([c[0].ssim for c in cell])
-                nmse_m, nmse_s = _mean_std([c[0].nmse for c in cell])
+                    values = (rep.psnr_db, rep.ssim, rep.nmse)
+                    results.append((values, ms))
+                    rows.append(_row(cell, dataset_id, seed, values, ("", "", ""), str(k), ms))
+                stats = [_mean_std([v[i] for v, _ in results]) for i in range(3)]
+                mean_ms = sum(ms for _, ms in results) / len(results)
                 rows.append(
-                    {
-                        "dataset_id": inputs[0][0],
-                        "seed": "mean",
-                        "size": str(size),
-                        "mode": mode,
-                        "block": "" if block is None else str(block),
-                        "pipeline": spec.pipeline,
-                        "psnr": _fmt(psnr_m),
-                        "ssim": _fmt(ssim_m),
-                        "nmse": _fmt(nmse_m),
-                        "psnr_std": _fmt(psnr_s),
-                        "ssim_std": _fmt(ssim_s),
-                        "nmse_std": _fmt(nmse_s),
-                        "prescale_k": "",
-                        "runtime_ms": f"{sum(c[2] for c in cell) / len(cell):.3f}",
-                    }
+                    _row(cell, inputs[0][0], "mean", [m for m, _ in stats],
+                         [_fmt(sd) for _, sd in stats], "", mean_ms)
                 )
     if spec.out:
         write_csv(rows, spec.out)
@@ -233,8 +214,10 @@ def _add_common_flags(p):
     p.add_argument("--coils", type=int, default=4)
     p.add_argument("--seeds", type=int, default=10, help="number of phantom seeds (0..S-1)")
     p.add_argument("--kind", default="blobs", choices=["blobs", "bars"])
-    p.add_argument("--tail", type=float, default=0.2, help="low-magnitude texture weight")
-    p.add_argument("--noise", type=float, default=0.1, help="complex noise floor amplitude")
+    p.add_argument("--tail", type=float, default=PHANTOM_TAIL, help="low-magnitude texture weight")
+    p.add_argument(
+        "--noise", type=float, default=PHANTOM_NOISE, help="complex noise floor amplitude"
+    )
     p.add_argument("--input", default=None, help="MXCG input file (overrides phantoms)")
     p.add_argument("--out", default=None, help="CSV output path (default stdout)")
     _add_prescale_flags(p)
@@ -253,8 +236,8 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--coils", type=int, default=4)
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--kind", default="blobs", choices=["blobs", "bars"])
-    g.add_argument("--tail", type=float, default=0.2)
-    g.add_argument("--noise", type=float, default=0.1)
+    g.add_argument("--tail", type=float, default=PHANTOM_TAIL)
+    g.add_argument("--noise", type=float, default=PHANTOM_NOISE)
     g.add_argument("--out-image", default=None)
     g.add_argument("--out-kspace", default=None)
 

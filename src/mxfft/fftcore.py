@@ -1,31 +1,29 @@
 """Radix-2 decimation-in-time FFT with three arithmetic modes.
 
-Modes:
-  * Reference -- FP64 throughout; the accuracy baseline.
-  * MX        -- the twiddle complex multiply inside each butterfly runs in
-                 MX block arithmetic: operand blocks are encoded with a
-                 shared power-of-two scale, multiplied in mantissa space
-                 with FP32 products, renormalized if the product mantissas
-                 exceed the element format's finite range, requantized, and
-                 decoded.  Twiddles are encoded once at plan time.  The
-                 add/sub operand u is never quantized; butterfly sums are
-                 accumulated in FP32.  The transform carries two float32
-                 planes (real, imaginary) with the batch axis trailing, so
-                 each stage and each MX block is a view, block maxima are
-                 reductions over contiguous batch rows, and stage outputs
-                 ping-pong between two preallocated plane pairs.  Values
-                 outside the complex64 range raise InvalidValue.
+One stage driver runs every mode; the modes differ only in the carry and the
+twiddle multiply applied to each butterfly's v input:
+  * Reference -- FP64 throughout, the accuracy baseline: one complex128 plane.
+  * MX        -- the twiddle complex multiply runs in MX block arithmetic:
+                 operand blocks are encoded with a shared power-of-two scale,
+                 multiplied in mantissa space with FP32 products,
+                 renormalized if the product mantissas exceed the element
+                 format's finite range, requantized, and decoded.  Twiddles
+                 are encoded once at plan time.  The add/sub operand u is
+                 never quantized; butterfly sums are accumulated in FP32.
+                 Two float32 planes (real, imaginary).
   * FP16      -- positive control: multiplies with every intermediate
                  rounded to FP16, add/sub in FP32, inputs/outputs in FP16.
-
-MX block sizes B must be powers of two, so that B/2-value blocks tile every
-stage's half-groups.  No normalization is applied inside the transforms;
-pipelines apply 1/N**2 where needed.
+                 Two float32 planes.
+A pass whose values leave the mode's range (float64, complex64, FP16) raises
+InvalidValue.  MX block sizes B must be powers of two, so that B/2-value
+blocks tile every stage's half-groups.  No normalization is applied inside
+the transforms; pipelines apply 1/N**2 where needed.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 import numpy as np
 
@@ -90,13 +88,16 @@ def _is_pow2(n: int) -> bool:
 
 
 class FftPlan:
-    """Precomputed bit-reversal permutation and twiddle tables for one size.
+    """Precomputed bit-reversal permutation, stage views and twiddles for one size.
 
-    Immutable after construction; safe to share across threads.  Twiddles are
-    stored per stage in butterfly order (the flattened (group, j) iteration
-    order), forward direction; the inverse conjugates them, which is exact for
-    every mode.  MX plans also hold each stage's view shape (mx_shapes) and
-    its twiddles encoded once as MX blocks (mx_twiddles, see _mx_twiddles).
+    Immutable after construction; safe to share across threads.  The stage
+    driver carries `dtype` planes (one complex128 plane for the reference,
+    float32 real and imaginary planes otherwise) and calls `multiply(v, w)`,
+    the mode's twiddle multiply, once per stage.  shapes[s] is stage s's view
+    shape (see _stage_shape) and twiddles[inverse][s] its twiddles, in the
+    mode's format at the v half's broadcast shape.  ref_twiddles keeps the
+    FP64 table of every stage in butterfly order (the flattened (group, j)
+    iteration order), forward direction; the inverse conjugates it.
     """
 
     def __init__(self, n: int, mode: ModeSpec):
@@ -114,16 +115,19 @@ class FftPlan:
             half_tables.append(np.tile(w, n // (2 * half)))  # butterfly order, len n//2
         self.ref_twiddles = half_tables
 
-        if mode.kind == "mx":
-            self.cplx_per_block = min(mode.block_size // 2, n // 2)
-            self.mx_shapes = [_stage_shape(n, s, self.cplx_per_block) for s in range(self.stages)]
-            self.mx_twiddles = [
-                _mx_twiddles(w, shape, mode.fmt) for w, shape in zip(half_tables, self.mx_shapes)
-            ]
+        # only MX blocks constrain the view; the others take one value per block
+        cpb = min(mode.block_size // 2, n // 2) if mode.kind == "mx" else 1
+        self.shapes = [_stage_shape(n, s, cpb) for s in range(self.stages)]
+        self.twiddles = tuple(
+            [_twiddles(w, shape, mode) for w, shape in zip(tables, self.shapes)]
+            for tables in (half_tables, np.conj(half_tables))
+        )
+        if mode.kind == "reference":
+            self.dtype, self.multiply = np.complex128, np.multiply
         elif mode.kind == "fp16":
-            self.fp16_twiddles = [
-                (w.real.astype(np.float16), w.imag.astype(np.float16)) for w in half_tables
-            ]
+            self.dtype, self.multiply = np.float32, _fp16_multiply
+        else:
+            self.dtype, self.multiply = np.float32, functools.partial(_mx_multiply, fmt=mode.fmt)
 
 
 def make_plan(n: int, mode: ModeSpec) -> FftPlan:
@@ -131,20 +135,125 @@ def make_plan(n: int, mode: ModeSpec) -> FftPlan:
 
 
 # ---------------------------------------------------------------------------
-# MX block machinery on stacked float32 planes.
+# The stage driver.
 #
-# The MX transform carries a (2, n, batch) float32 array: the real and
-# imaginary planes of `batch` length-n signals, transformed along axis 1.  A
-# stage with half-size h and blocks of cpb complex values views it as
-# (2, G, K, 2, R, J, batch): index 3 selects the butterfly input u or v, and
+# Every mode carries a (C, n, batch) array: `batch` length-n signals,
+# transformed along axis 1, as one complex128 plane (C = 1, the reference) or
+# as float32 real and imaginary planes (C = 2, MX and FP16).  A stage with
+# half-size h and blocks of cpb complex values views it as
+# (C, G, K, 2, R, J, batch): index 3 selects the butterfly input u or v, and
 # one MX block of v is the (re/im, k, j) sub-array at fixed (g, r), with the
 # batch axis trailing.  Either K = 1 (cpb <= h: R blocks per half-group) or
-# R = 1 (cpb > h: a block spans K whole half-groups).  Block reductions are
-# then row-wise maxima over contiguous batch rows.  The single-block
-# semantics live in mxblock and butterfly_mx; tests cross-check against both.
+# R = 1 (cpb > h: a block spans K whole half-groups).  MX block reductions
+# are then row-wise maxima over contiguous batch rows; the other modes use
+# cpb = 1.  The single-block MX semantics live in mxblock and butterfly_mx;
+# tests cross-check against both.
 # ---------------------------------------------------------------------------
 
 _F32 = np.finfo(np.float32)
+# per mode: the name of the transform, and the range its values must stay in
+_RANGES = {
+    "reference": ("FP64 reference", "float64", float(np.finfo(np.float64).max)),
+    "mx": ("MX", "complex64", float(_F32.max)),
+    "fp16": ("FP16", "FP16", _FP16_FMT.max_finite),
+}
+
+
+def _stage_shape(n: int, s: int, cpb: int) -> tuple:
+    """(G, K, 2, R, J): stage s of a length-n transform with cpb-value blocks."""
+    half = 1 << s
+    j = min(cpb, half)
+    k = cpb // j
+    return (n // (2 * half * k), k, 2, half // j, j)
+
+
+def _out_of_range(kind: str) -> InvalidValue:
+    transform, name, limit = _RANGES[kind]
+    return InvalidValue(
+        f"non-finite value in the {transform} transform: real and imaginary parts "
+        f"must stay within the {name} range (|x| <= {limit:.7g})"
+    )
+
+
+def _fft(src, plan: FftPlan, inverse: bool) -> np.ndarray:
+    """Transforms of the columns of C source planes, each (n, batch).
+
+    Loads the planes in bit-reversed order into the plan's carry dtype (the
+    FP16 control rounds them to FP16 first), runs every stage into
+    ping-pong buffers and returns the (C, n, batch) result planes, which the
+    FP16 control quantizes to FP16.  Raises InvalidValue if the result is not
+    finite: an input or intermediate left the mode's range.
+    """
+    kind = plan.mode.kind
+    buf = np.empty((len(src),) + src[0].shape, dtype=plan.dtype)
+    out = np.empty_like(buf)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for plane, s in zip(buf, src):
+            plane[...] = s[plan.bitrev].astype(np.float16) if kind == "fp16" else s[plan.bitrev]
+        for shape, w in zip(plan.shapes, plan.twiddles[inverse]):
+            x = buf.reshape(buf.shape[:1] + shape + buf.shape[2:])
+            y = out.reshape(x.shape)
+            t = plan.multiply(x[:, :, :, 1], w)
+            np.add(x[:, :, :, 0], t, out=y[:, :, :, 0])
+            np.subtract(x[:, :, :, 0], t, out=y[:, :, :, 1])
+            buf, out = out, buf
+    if not np.isfinite(buf).all():
+        raise _out_of_range(kind)
+    if kind == "fp16":
+        buf[...] = quantize_array(buf, _FP16_FMT)
+    return buf
+
+
+def _planes(z: np.ndarray, plan: FftPlan) -> tuple:
+    """The driver's source planes of a complex (n, batch) array."""
+    return (z,) if plan.dtype == np.complex128 else (z.real, z.imag)
+
+
+def _join(planes: np.ndarray, dtype) -> np.ndarray:
+    """The complex (n, batch) array of the driver's result planes."""
+    if len(planes) == 1:
+        return planes[0]
+    out = np.empty(planes.shape[1:], dtype=dtype)
+    out.real = planes[0]
+    out.imag = planes[1]
+    return out
+
+
+def _twiddles(w: np.ndarray, shape: tuple, mode: ModeSpec):
+    """One stage's twiddle table (butterfly order) in the mode's format.
+
+    Every block row (g, k) of the v half holds the same twiddles, so only the
+    first is kept, at the broadcast shape (1, 1, R, J, 1); MX codes are in
+    the product dtype, with scales (1, 1, R, 1, 1).
+    """
+    _, _, _, r, j = shape
+    w = w[: r * j].reshape(1, 1, r, j, 1)
+    if mode.kind == "mx":
+        codes, scales = _mx_encode(np.stack((w.real, w.imag)), mode.fmt)
+        return codes[0], codes[1], scales[0]
+    if mode.kind == "fp16":
+        return w.real.astype(np.float16), w.imag.astype(np.float16)
+    return w
+
+
+# Twiddle multiplies: w*v of a stage's v half (C, G, K, R, J, batch) in the
+# carry dtype.  The reference multiply is np.multiply itself.
+
+
+def _fp16_multiply(v: np.ndarray, w) -> np.ndarray:
+    """FP16-control complex multiply w*v of a stage, as float32 planes.
+
+    The operands are rounded to FP16 and every intermediate of
+    (wr*vr - wi*vi, wr*vi + wi*vr) is computed in float16.
+    """
+    wr, wi = w
+    vr, vi = v.astype(np.float16)
+    t = np.empty(v.shape, dtype=np.float32)
+    t[0] = wr * vr - wi * vi
+    t[1] = wr * vi + wi * vr
+    return t
+
+
 _BLOCK_AXES = (0, 2, 4)  # re/im, k, j of a stacked v view (2, G, K, R, J, batch)
 
 
@@ -160,23 +269,8 @@ def _product_dtype(fmt: MinifloatFormat):
     return np.float32 if narrow else np.float64
 
 
-def _stage_shape(n: int, s: int, cpb: int) -> tuple:
-    """(G, K, 2, R, J): stage s of a length-n transform with cpb-value blocks."""
-    half = 1 << s
-    j = min(cpb, half)
-    k = cpb // j
-    return (n // (2 * half * k), k, 2, half // j, j)
-
-
 def _within(a, lo: float, hi: float) -> bool:
     return bool(a.min() >= lo and a.max() <= hi)
-
-
-def _non_finite() -> InvalidValue:
-    return InvalidValue(
-        f"non-finite value in the MX transform: real and imaginary parts must stay "
-        f"within the complex64 range (|x| <= {_F32.max:.7g})"
-    )
 
 
 def _mx_encode(v: np.ndarray, fmt: MinifloatFormat):
@@ -190,7 +284,7 @@ def _mx_encode(v: np.ndarray, fmt: MinifloatFormat):
     """
     amax = np.abs(v).max(axis=_BLOCK_AXES, keepdims=True)
     if not amax.max() <= _F32.max:  # also catches NaN
-        raise _non_finite()
+        raise _out_of_range("mx")
     scales = mxblock.block_scales(amax, fmt)
     ptype = _product_dtype(fmt)
     exact32 = v.dtype == np.float32 and _within(scales, 2.0**_F32.minexp, 2.0**-_F32.minexp)
@@ -228,44 +322,6 @@ def _mx_multiply(v: np.ndarray, w, fmt: MinifloatFormat) -> np.ndarray:
         s_out = s_out.astype(np.float32)  # exact: a float32 power of two
     out = p if p.dtype == np.float32 else np.empty(p.shape, dtype=np.float32)
     return np.multiply(p, s_out, out=out, casting="same_kind")
-
-
-def _mx_twiddles(w: np.ndarray, shape: tuple, fmt: MinifloatFormat):
-    """Encode one stage's twiddle table (butterfly order) as broadcast blocks.
-
-    Every block row (g, k) holds the same values, so only the first is kept:
-    codes (1, 1, R, J, 1) in the product dtype and scales (1, 1, R, 1, 1).
-    """
-    g, k, _, r, j = shape
-    wv = np.stack((w.real, w.imag)).reshape(2, g, k, r, j, 1)
-    codes, scales = _mx_encode(wv, fmt)
-    return codes[0, :1, :1], codes[1, :1, :1], scales[0, :1]
-
-
-def _fft_mx(re: np.ndarray, im: np.ndarray, plan: "FftPlan", inverse: bool) -> np.ndarray:
-    """MX transforms of the columns of (n, batch) real/imag arrays.
-
-    Returns the (2, n, batch) float32 planes of the results.  Raises
-    InvalidValue if the input or any intermediate leaves the complex64 range.
-    """
-    fmt = plan.mode.fmt
-    src = np.empty((2,) + re.shape, dtype=np.float32)
-    dst = np.empty_like(src)
-    with np.errstate(over="ignore", invalid="ignore"):
-        src[0] = re[plan.bitrev]
-        src[1] = im[plan.bitrev]
-        for shape, (wr, wi, ws) in zip(plan.mx_shapes, plan.mx_twiddles):
-            if inverse:
-                wi = -wi  # conjugation is exact on codes
-            x = src.reshape((2,) + shape + (re.shape[1],))
-            y = dst.reshape(x.shape)
-            t = _mx_multiply(x[:, :, :, 1], (wr, wi, ws), fmt)
-            np.add(x[:, :, :, 0], t, out=y[:, :, :, 0])
-            np.subtract(x[:, :, :, 0], t, out=y[:, :, :, 1])
-            src, dst = dst, src
-    if not np.isfinite(src).all():
-        raise _non_finite()
-    return src
 
 
 def butterfly_mx(u, v, w, fmt: MinifloatFormat):
@@ -319,68 +375,8 @@ def butterfly_mx(u, v, w, fmt: MinifloatFormat):
 
 
 # ---------------------------------------------------------------------------
-# Batched 1-D transforms (batch along axis 0, transform along axis 1).
+# Public transforms.
 # ---------------------------------------------------------------------------
-
-
-def _fft_batch_reference(x: np.ndarray, plan: FftPlan, inverse: bool) -> np.ndarray:
-    y = x[:, plan.bitrev].astype(np.complex128)
-    b = y.shape[0]
-    for s in range(plan.stages):
-        half = 1 << s
-        w = plan.ref_twiddles[s]
-        if inverse:
-            w = np.conj(w)
-        view = y.reshape(b, -1, 2 * half)
-        u = view[..., :half]
-        v = view[..., half:]
-        t = v * w.reshape(-1, half)
-        y = np.concatenate((u + t, u - t), axis=-1).reshape(b, plan.n)
-    return y
-
-
-def _fft_batch_mx(x: np.ndarray, plan: FftPlan, inverse: bool) -> np.ndarray:
-    y = _fft_mx(x.real.T, x.imag.T, plan, inverse)
-    out = np.empty(x.shape, dtype=np.complex64)
-    out.real = y[0].T
-    out.imag = y[1].T
-    return out
-
-
-def _fft_batch_fp16(x: np.ndarray, plan: FftPlan, inverse: bool) -> np.ndarray:
-    y = x[:, plan.bitrev]
-    # inputs quantized scalar-wise to FP16
-    y = (y.real.astype(np.float16).astype(np.float32)
-         + 1j * y.imag.astype(np.float16).astype(np.float32)).astype(np.complex64)
-    b = y.shape[0]
-    for s in range(plan.stages):
-        half = 1 << s
-        wr, wi = plan.fp16_twiddles[s]
-        if inverse:
-            wi = -wi
-        view = y.reshape(b, -1, 2 * half)
-        u = view[..., :half]
-        v = view[..., half:]
-        vr = v.real.astype(np.float16)
-        vi = v.imag.astype(np.float16)
-        wr_ = wr.reshape(-1, half)
-        wi_ = wi.reshape(-1, half)
-        # every intermediate of the complex multiply rounded to FP16
-        p_r = wr_ * vr - wi_ * vi
-        p_i = wr_ * vi + wi_ * vr
-        t = p_r.astype(np.float32) + 1j * p_i.astype(np.float32)
-        y = np.concatenate((u + t, u - t), axis=-1).reshape(b, plan.n)
-    # outputs quantized to FP16
-    out_r = quantize_array(y.real.astype(np.float64), _FP16_FMT)
-    out_i = quantize_array(y.imag.astype(np.float64), _FP16_FMT)
-    return (out_r + 1j * out_i).astype(np.complex64)
-
-
-_BATCH_FNS = {
-    "reference": _fft_batch_reference,
-    "mx": _fft_batch_mx,
-    "fp16": _fft_batch_fp16,
-}
 
 
 def _is_inverse(direction: str) -> bool:
@@ -389,46 +385,30 @@ def _is_inverse(direction: str) -> bool:
     return direction == "inverse"
 
 
-def _fft_batch(x: np.ndarray, plan: FftPlan, direction: str) -> np.ndarray:
-    inverse = _is_inverse(direction)
-    if x.shape[1] != plan.n:
-        raise ShapeError(f"expected length {plan.n}, got {x.shape[1]}")
-    return _BATCH_FNS[plan.mode.kind](x, plan, inverse)
-
-
 def fft_1d(x, plan: FftPlan, direction: str = "forward") -> np.ndarray:
-    """Unnormalized radix-2 DIT transform of a length-n complex vector."""
+    """Unnormalized radix-2 DIT transform of a length-n complex vector.
+
+    Returns complex128 in reference mode and complex64 in the MX and FP16 modes.
+    """
     x = np.asarray(x, dtype=np.complex128)
     if x.ndim != 1:
         raise ShapeError("fft_1d expects a 1-D vector")
-    return _fft_batch(x[None, :], plan, direction)[0]
-
-
-def fft_1d_fp16(x, plan: FftPlan, direction: str = "forward") -> np.ndarray:
-    """FP16 positive-control transform; plan must be in fp16 mode."""
-    if plan.mode.kind != "fp16":
-        raise ValueError("fft_1d_fp16 requires an fp16-mode plan")
-    return fft_1d(x, plan, direction)
+    inverse = _is_inverse(direction)
+    if x.shape[0] != plan.n:
+        raise ShapeError(f"expected length {plan.n}, got {x.shape[0]}")
+    return _join(_fft(_planes(x[:, None], plan), plan, inverse), np.complex64)[:, 0]
 
 
 def fft_2d(x, plan: FftPlan, direction: str = "forward") -> np.ndarray:
-    """Row transforms then column transforms of a square N x N grid."""
+    """Row transforms then column transforms of a square N x N grid, as complex128."""
     x = np.asarray(x, dtype=np.complex128)
     if x.ndim != 2 or x.shape[0] != x.shape[1]:
         raise UnsupportedSize("fft_2d expects a square grid")
     if x.shape[0] != plan.n:
         raise UnsupportedSize(f"grid size {x.shape[0]} does not match plan size {plan.n}")
-    if plan.mode.kind == "mx":
-        # _fft_mx transforms columns, so the row pass reads x transposed and
-        # returns planes indexed (k, row); their transposes are the columns
-        # of the row-transformed grid, and the column pass returns (k, l) as is
-        inverse = _is_inverse(direction)
-        rows = _fft_mx(x.real.T, x.imag.T, plan, inverse)
-        cols = _fft_mx(rows[0].T, rows[1].T, plan, inverse)
-        out = np.empty(x.shape, dtype=np.complex128)
-        out.real = cols[0]
-        out.imag = cols[1]
-        return out
-    rows = _fft_batch(x, plan, direction)
-    cols = _fft_batch(np.ascontiguousarray(rows.T), plan, direction)
-    return np.asarray(cols.T, dtype=np.complex128)
+    inverse = _is_inverse(direction)
+    # the driver transforms columns, so the row pass reads x transposed and
+    # returns planes indexed (k, row); their transposes are the columns of
+    # the row-transformed grid, and the column pass returns (k, l) as is
+    rows = _fft(_planes(x.T, plan), plan, inverse)
+    return _join(_fft(rows.transpose(0, 2, 1), plan, inverse), np.complex128)

@@ -31,6 +31,11 @@ from .prescale import PrescaleConfig, apply_prescale, compute_prescale, undo_pre
 KSPACE = "kspace"
 IMAGE = "image"
 
+# Phantom defaults of the harness: the tail weight and the complex noise
+# floor give the k-space a realistic noise floor and tail.
+PHANTOM_TAIL = 0.2
+PHANTOM_NOISE = 0.1
+
 
 @dataclasses.dataclass(frozen=True)
 class ComplexGrid:
@@ -43,6 +48,10 @@ class ComplexGrid:
         d = np.asarray(self.data, dtype=np.complex128)
         if d.ndim != 3 or d.shape[1] != d.shape[2]:
             raise ShapeError("grid data must be (coils, n, n)")
+        if d.shape[0] < 1:
+            raise ShapeError("coils: a grid needs at least one coil")
+        if d.shape[1] < 1:
+            raise ShapeError("n: a grid needs at least one sample per side")
         if self.domain not in (KSPACE, IMAGE):
             raise InvalidValue(f"unknown domain tag {self.domain!r}")
         if not np.all(np.isfinite(d)):
@@ -85,7 +94,7 @@ def forward_pipeline(kspace: ComplexGrid, plan: FftPlan, cfg: PrescaleConfig) ->
     """Prescale -> per-coil forward 2-D FFT -> exact prescale undo -> RSS."""
     if kspace.domain != KSPACE:
         raise InvalidValue("forward_pipeline expects a k-space grid")
-    k = compute_prescale(kspace, cfg).k
+    k = compute_prescale(kspace.data, cfg).k
     xs = apply_prescale(kspace.data, k)
     out = np.stack([fft_2d(xs[c], plan, "forward") for c in range(kspace.coils)])
     return rss(ComplexGrid(undo_prescale(out, k), IMAGE))
@@ -95,7 +104,7 @@ def roundtrip_pipeline(image: ComplexGrid, plan: FftPlan, cfg: PrescaleConfig) -
     """Prescale -> per-coil forward then inverse FFT, 1/N^2 in FP64 -> undo -> RSS."""
     if image.domain != IMAGE:
         raise InvalidValue("roundtrip_pipeline expects an image grid")
-    k = compute_prescale(image, cfg).k
+    k = compute_prescale(image.data, cfg).k
     xs = apply_prescale(image.data, k)
     norm = 1.0 / (image.n * image.n)
     out = np.stack(
@@ -162,8 +171,8 @@ def gen_phantom(
     coils: int,
     seed: int,
     kind: str = "blobs",
-    tail: float = 0.0,
-    noise: float = 1e-4,
+    tail: float = PHANTOM_TAIL,
+    noise: float = PHANTOM_NOISE,
 ):
     """Deterministic multi-coil phantom; returns (image grid, k-space grid).
 
@@ -227,6 +236,10 @@ def read_grid(path) -> ComplexGrid:
         raise BadVersion(f"unsupported MXCG version {version}")
     if domain_code not in (0, 1):
         raise FileFormatError(f"unknown domain code {domain_code}")
+    if coils < 1:
+        raise FileFormatError(f"coils: header says {coils}, need at least one")
+    if n < 2 or n & (n - 1):
+        raise FileFormatError(f"n: header says {n}, not a power of two >= 2")
     expected = coils * n * n * 16
     payload = raw[_HEADER.size:]
     if len(payload) < expected:

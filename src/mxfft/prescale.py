@@ -50,20 +50,12 @@ def _round_half_away(v: float) -> int:
     return math.floor(v + 0.5) if v >= 0 else math.ceil(v - 0.5)
 
 
-def _is_grid(x) -> bool:
-    return not isinstance(x, np.ndarray) and hasattr(x, "data")
-
-
-def _data_of(x) -> np.ndarray:
-    return np.asarray(x.data if _is_grid(x) else x)
-
-
 def compute_prescale(x, cfg: PrescaleConfig) -> PrescaleResult:
-    """Choose the power-of-two exponent k for input x (grid or array)."""
-    data = _data_of(x)
-    if not np.all(np.isfinite(data)):
+    """Choose the power-of-two exponent k for the array x."""
+    x = np.asarray(x)
+    if not np.all(np.isfinite(x)):
         raise InvalidValue("non-finite input to prescale")
-    m = np.abs(data)
+    m = np.abs(x)
     a_max = float(m.max())
     nz = m[m > 0]
     p_tau = float(np.percentile(nz, cfg.tau)) if nz.size else 0.0
@@ -77,13 +69,8 @@ def apply_prescale(x, k: int):
     """Multiply every element by exactly 2^k.
 
     Exact in binary floating point while results stay in normal FP64 range.
-    Returns the same kind of object as given (grid or array).
     """
-    data = _data_of(x)
-    scaled = data * math.ldexp(1.0, k)
-    if _is_grid(x):
-        return dataclasses.replace(x, data=scaled)
-    return scaled
+    return np.asarray(x) * math.ldexp(1.0, k)
 
 
 def undo_prescale(x, k: int):

@@ -227,7 +227,7 @@ def test_criterion_9_prescale(rng):
     peak = compute_prescale(np.full((4, 4), 8.0 + 0j), CFG)
     tail_data = np.full((1, 16, 16), 2.0**-30, dtype=complex)
     tail_data[0, 0, 0] = 1.0
-    tail = compute_prescale(ComplexGrid(tail_data, "kspace"), CFG)
+    tail = compute_prescale(ComplexGrid(tail_data, "kspace").data, CFG)
     clipped = compute_prescale(np.full((4, 4), 2.0**-60), CFG)
     hand_ok = (
         (peak.k1, peak.k) == (-3, -3)

@@ -1,13 +1,14 @@
 """Experiment harness: spec validation, row arithmetic, determinism, exit codes."""
 
 import csv
+import inspect
 import io
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from mxfft import ConfigError
-from mxfft.cli import CSV_COLUMNS, ExperimentSpec, main, run_experiment, write_csv
+from mxfft import ConfigError, gen_phantom
+from mxfft.cli import CSV_COLUMNS, ExperimentSpec, build_parser, main, run_experiment, write_csv
 from conftest import PHANTOM
 
 
@@ -24,6 +25,18 @@ def _spec(**kw):
     )
     base.update(kw)
     return ExperimentSpec(**base)
+
+
+def test_phantom_defaults_agree():
+    # gen_phantom, ExperimentSpec and both CLI parsers share one set of defaults
+    sig = inspect.signature(gen_phantom).parameters
+    spec = ExperimentSpec(modes=["e4m3"], sizes=[16], blocks=[32], seeds=[0])
+    gen = build_parser().parse_args(["gen-phantom"])
+    fwd = build_parser().parse_args(["forward"])
+    for field in ("tail", "noise"):
+        want = PHANTOM[field]
+        assert sig[field].default == getattr(spec, field) == want
+        assert getattr(gen, field) == getattr(fwd, field) == want
 
 
 def _details(rows):
@@ -96,6 +109,11 @@ class TestRunExperiment:
         spec = _spec(modes=["e4m3", "fp16"], seeds=[0, 1])
         strip = lambda rows: [{k: v for k, v in r.items() if k != "runtime_ms"} for r in rows]
         assert strip(run_experiment(spec)) == strip(run_experiment(spec))
+
+    def test_rows_keep_csv_column_order(self):
+        # serialized rows (not only the CSV writer) see the dict order
+        rows = run_experiment(_spec(modes=["e4m3", "fp16"], seeds=[0]))
+        assert all(list(r) == CSV_COLUMNS for r in rows)
 
     def test_roundtrip_nmse_not_below_forward(self):
         fwd = run_experiment(_spec(sizes=[32], seeds=[0], pipeline="forward"))

@@ -17,11 +17,10 @@ from mxfft import (
     decode_block_mx,
     encode_block_mx,
     fft_1d,
-    fft_1d_fp16,
     fft_2d,
     make_plan,
 )
-from mxfft.fftcore import _mx_multiply, _mx_twiddles
+from mxfft.fftcore import _mx_multiply, _twiddles
 
 from conftest import brute_dft
 
@@ -50,7 +49,7 @@ class TestPlan:
 
     def test_mx_twiddles_within_roundtrip_bound(self):
         p = make_plan(8, ModeSpec.mx(E4M3, 32))
-        for s, (wcr, wci, ws) in enumerate(p.mx_twiddles):
+        for s, (wcr, wci, ws) in enumerate(p.twiddles[0]):
             # one block row per stage: the table's first half-group, (1, 1, R, J, 1)
             dec = (wcr + 1j * wci) * ws
             ref = p.ref_twiddles[s][: dec.size].reshape(dec.shape)
@@ -158,7 +157,8 @@ class TestButterflyMx:
             w = np.exp(-2j * np.pi * rng.uniform(0, 1, cpb))
             shape = (1, 1, 2, 1, cpb)  # one stage view holding exactly one block
             planes = np.stack((v.real, v.imag)).reshape(2, 1, 1, 1, cpb, 1)
-            t = _mx_multiply(planes, _mx_twiddles(w, shape, fmt), fmt).reshape(2, cpb)
+            w_enc = _twiddles(w, shape, ModeSpec.mx(fmt, 2 * cpb))
+            t = _mx_multiply(planes, w_enc, fmt).reshape(2, cpb)
             wv = t[0] + 1j * t[1]
             y0, y1 = butterfly_mx(u, v, w, fmt)
             u32 = u.astype(np.complex64)
@@ -235,24 +235,20 @@ class TestFp16Mode:
         p = make_plan(8, ModeSpec.fp16())
         x = np.zeros(8, complex)
         x[0] = 1.0
-        assert np.array_equal(fft_1d_fp16(x, p), np.ones(8, np.complex64))
+        assert np.array_equal(fft_1d(x, p), np.ones(8, np.complex64))
 
     def test_accuracy_64pt(self, rng):
         # observed max over 20 seeds was 7.4e-4; frozen regression bound 2e-3
         x = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-        got = fft_1d_fp16(x, make_plan(64, ModeSpec.fp16()))
+        got = fft_1d(x, make_plan(64, ModeSpec.fp16()))
         assert rel_l2(got, brute_dft(x)) <= 2e-3
 
     def test_beats_e5m2(self, rng):
         x = rng.standard_normal(64) + 1j * rng.standard_normal(64)
         ref = brute_dft(x)
-        e16 = rel_l2(fft_1d_fp16(x, make_plan(64, ModeSpec.fp16())), ref)
+        e16 = rel_l2(fft_1d(x, make_plan(64, ModeSpec.fp16())), ref)
         e52 = rel_l2(fft_1d(x, make_plan(64, ModeSpec.mx(E5M2, 32))), ref)
         assert e16 < e52
-
-    def test_requires_fp16_plan(self):
-        with pytest.raises(ValueError):
-            fft_1d_fp16(np.zeros(8, complex), make_plan(8, ModeSpec.reference()))
 
 
 @pytest.mark.parametrize("block", [0, 3, 6, 12, 24])

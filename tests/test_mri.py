@@ -80,6 +80,11 @@ class TestComplexGrid:
         with pytest.raises(InvalidValue):
             ComplexGrid(bad, "image")
 
+    @pytest.mark.parametrize("shape, field", [((0, 4, 4), "coils"), ((1, 0, 0), "n")])
+    def test_rejects_empty(self, shape, field):
+        with pytest.raises(ShapeError, match=f"^{field}: "):
+            ComplexGrid(np.zeros(shape, dtype=complex), "kspace")
+
     def test_properties(self):
         g = ComplexGrid(np.zeros((3, 8, 8)), "kspace")
         assert g.coils == 3 and g.n == 8
@@ -246,6 +251,14 @@ class TestGridIO:
         write_grid(ComplexGrid(d, "image"), p)
         p.write_bytes(p.read_bytes() + b"\x00")
         with pytest.raises(FileFormatError):
+            read_grid(p)
+
+    @pytest.mark.parametrize("coils, n, field", [(0, 2, "coils"), (1, 0, "n"), (1, 3, "n")])
+    def test_bad_header_sizes(self, tmp_path, coils, n, field):
+        payload = bytes(coils * n * n * 16)
+        p = tmp_path / "h.mxcg"
+        p.write_bytes(struct.pack("<4sIBII", b"MXCG", 1, 0, coils, n) + payload)
+        with pytest.raises(FileFormatError, match=f"^{field}: "):
             read_grid(p)
 
     def test_non_finite_payload(self, tmp_path):
