@@ -7,7 +7,6 @@ from .errors import (
     DegenerateReference,
     FileFormatError,
     InvalidValue,
-    MantissaOverflow,
     MxfftError,
     NonFinitePayload,
     ShapeError,
@@ -28,13 +27,6 @@ from .minifloat import (
     quantize_array,
     quantize_scalar,
 )
-from .mxblock import (
-    MxBlock,
-    decode_block_mx,
-    encode_block_mx,
-    encode_from_mant_block,
-    mantissas_block,
-)
 from .prescale import (
     PrescaleConfig,
     PrescaleResult,
@@ -45,7 +37,6 @@ from .prescale import (
 from .fftcore import (
     FftPlan,
     ModeSpec,
-    butterfly_mx,
     fft_1d,
     fft_2d,
     make_plan,

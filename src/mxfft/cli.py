@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import metrics
 from .errors import ConfigError, MxfftError
-from .fftcore import ModeSpec, make_plan
+from .fftcore import ModeSpec, _is_pow2, make_plan
 from .minifloat import FORMATS
 from .mri import (
     IMAGE,
@@ -77,12 +77,12 @@ class ExperimentSpec:
         if not self.sizes:
             raise ConfigError("sizes", "need at least one size")
         for n in self.sizes:
-            if n < 2 or n & (n - 1):
+            if not _is_pow2(n):
                 raise ConfigError("sizes", f"{n} is not a power of two >= 2")
         if not self.blocks:
             raise ConfigError("blocks", "need at least one block size")
         for b in self.blocks:
-            if b < 2 or b & (b - 1):
+            if not _is_pow2(b):
                 raise ConfigError("blocks", f"{b} is not a power of two >= 2")
         if not self.seeds:
             raise ConfigError("seeds", "need at least one seed")
@@ -192,39 +192,41 @@ def write_csv(rows, path) -> None:
 
 
 def _add_prescale_flags(p):
-    p.add_argument("--target", type=float, default=1.0)
-    p.add_argument("--tau", type=float, default=1.0)
-    p.add_argument("--tau-min", type=float, default=2.0**-20)
-    p.add_argument("--k-min", type=int, default=-40)
-    p.add_argument("--k-max", type=int, default=40)
+    # one flag per PrescaleConfig field (--tau-min for tau_min), with its default
+    for field in dataclasses.fields(PrescaleConfig):
+        flag = "--" + field.name.replace("_", "-")
+        p.add_argument(flag, type=type(field.default), default=field.default)
 
 
 def _prescale_of(args) -> PrescaleConfig:
-    return PrescaleConfig(
-        target=args.target,
-        tau=args.tau,
-        tau_min=args.tau_min,
-        k_min=args.k_min,
-        k_max=args.k_max,
-    )
+    fields = dataclasses.fields(PrescaleConfig)
+    return PrescaleConfig(**{f.name: getattr(args, f.name) for f in fields})
 
 
-def _add_common_flags(p):
-    p.add_argument("--size", default="128", help="comma-separated grid sizes")
+def _add_phantom_flags(p, seed_flag, **seed_kw):
+    """The phantom flags, with the subcommand's seed flag in its help position."""
     p.add_argument("--coils", type=int, default=4)
-    p.add_argument("--seeds", type=int, default=10, help="number of phantom seeds (0..S-1)")
+    p.add_argument(seed_flag, type=int, **seed_kw)
     p.add_argument("--kind", default="blobs", choices=["blobs", "bars"])
     p.add_argument("--tail", type=float, default=PHANTOM_TAIL, help="low-magnitude texture weight")
     p.add_argument(
         "--noise", type=float, default=PHANTOM_NOISE, help="complex noise floor amplitude"
     )
+
+
+def _add_common_flags(p):
+    p.add_argument("--size", default="128", help="comma-separated grid sizes")
+    _add_phantom_flags(p, "--seeds", default=10, help="number of phantom seeds (0..S-1)")
     p.add_argument("--input", default=None, help="MXCG input file (overrides phantoms)")
     p.add_argument("--out", default=None, help="CSV output path (default stdout)")
     _add_prescale_flags(p)
 
 
-def _ints(csv_str) -> list:
-    return [int(s) for s in str(csv_str).split(",") if s]
+def _ints(csv_str, field) -> list:
+    try:
+        return [int(s) for s in str(csv_str).split(",") if s]
+    except ValueError:
+        raise ConfigError(field, f"{csv_str!r} is not a comma-separated list of integers") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -233,11 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("gen-phantom", help="write phantom image/k-space MXCG files")
     g.add_argument("--size", type=int, default=128)
-    g.add_argument("--coils", type=int, default=4)
-    g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--kind", default="blobs", choices=["blobs", "bars"])
-    g.add_argument("--tail", type=float, default=PHANTOM_TAIL)
-    g.add_argument("--noise", type=float, default=PHANTOM_NOISE)
+    _add_phantom_flags(g, "--seed", default=0)
     g.add_argument("--out-image", default=None)
     g.add_argument("--out-kspace", default=None)
 
@@ -259,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _spec_of(args, modes, blocks, pipeline) -> ExperimentSpec:
     return ExperimentSpec(
         modes=modes,
-        sizes=_ints(args.size),
+        sizes=_ints(args.size, "sizes"),
         blocks=blocks,
         seeds=list(range(args.seeds)),
         pipeline=pipeline,
@@ -296,14 +294,11 @@ def main(argv=None) -> int:
         if args.command in ("forward", "roundtrip"):
             spec = _spec_of(args, [args.mode], [args.block], args.command)
         else:
-            spec = _spec_of(args, args.mode.split(","), _ints(args.block), args.pipeline)
+            spec = _spec_of(args, args.mode.split(","), _ints(args.block, "blocks"), args.pipeline)
         rows = run_experiment(spec)
         _emit(rows, spec.out)
         return 0
-    except MxfftError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (KeyError, ValueError, OSError) as exc:
+    except (MxfftError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

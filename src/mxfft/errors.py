@@ -17,14 +17,6 @@ class UnsupportedSize(MxfftError):
     """Transform size is not a supported power of two (or grid not square)."""
 
 
-class MantissaOverflow(MxfftError):
-    """Mantissa-space values exceed the element format's finite range.
-
-    Raised by encode_from_mant_block when the caller failed to renormalize;
-    signals a bug in the butterfly, not bad data.
-    """
-
-
 class DegenerateReference(MxfftError):
     """Reference image is all-zero; PSNR/NMSE undefined."""
 

@@ -42,7 +42,7 @@ class ModeSpec:
     block_size: int = 32  # B: real scalars per MX block (B/2 complex values)
 
     def __post_init__(self):
-        if self.kind == "mx" and not (self.block_size >= 2 and _is_pow2(self.block_size)):
+        if self.kind == "mx" and not _is_pow2(self.block_size):
             raise ConfigError("block_size", f"{self.block_size} is not a power of two >= 2")
 
     @staticmethod
@@ -71,20 +71,18 @@ class ModeSpec:
 
 
 def _bit_reversal(n: int) -> np.ndarray:
+    """The bit-reversal permutation of range(n), n a power of two."""
     bits = n.bit_length() - 1
+    i = np.arange(n, dtype=np.intp)
     perm = np.zeros(n, dtype=np.intp)
-    for i in range(n):
-        r = 0
-        v = i
-        for _ in range(bits):
-            r = (r << 1) | (v & 1)
-            v >>= 1
-        perm[i] = r
+    for b in range(bits):
+        perm |= ((i >> b) & 1) << (bits - 1 - b)
     return perm
 
 
 def _is_pow2(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
+    """True for the powers of two >= 2: the valid transform, grid and MX block sizes."""
+    return n >= 2 and (n & (n - 1)) == 0
 
 
 class FftPlan:
@@ -101,7 +99,7 @@ class FftPlan:
     """
 
     def __init__(self, n: int, mode: ModeSpec):
-        if not _is_pow2(n) or n < 2:
+        if not _is_pow2(n):
             raise UnsupportedSize(f"transform length must be a power of two >= 2, got {n}")
         self.n = n
         self.mode = mode
@@ -146,8 +144,8 @@ def make_plan(n: int, mode: ModeSpec) -> FftPlan:
 # batch axis trailing.  Either K = 1 (cpb <= h: R blocks per half-group) or
 # R = 1 (cpb > h: a block spans K whole half-groups).  MX block reductions
 # are then row-wise maxima over contiguous batch rows; the other modes use
-# cpb = 1.  The single-block MX semantics live in mxblock and butterfly_mx;
-# tests cross-check against both.
+# cpb = 1.  The literal single-block MX procedure lives in the test oracle
+# tests/mx_literal.py, which the tests cross-check this kernel against.
 # ---------------------------------------------------------------------------
 
 _F32 = np.finfo(np.float32)
@@ -322,56 +320,6 @@ def _mx_multiply(v: np.ndarray, w, fmt: MinifloatFormat) -> np.ndarray:
         s_out = s_out.astype(np.float32)  # exact: a float32 power of two
     out = p if p.dtype == np.float32 else np.empty(p.shape, dtype=np.float32)
     return np.multiply(p, s_out, out=out, casting="same_kind")
-
-
-def butterfly_mx(u, v, w, fmt: MinifloatFormat):
-    """One MX-scaled complex butterfly on a block of up to B/2 values.
-
-    w may be a prequantized MxBlock (the plan path) or a complex vector,
-    which is then encoded on the fly.  Returns (y0, y1) = (u + wv, u - wv)
-    accumulated in FP32.  This is the literal single-block procedure; the
-    transform loops use the batched equivalent, which tests cross-check
-    against this one.
-    """
-    u = np.asarray(u, dtype=np.complex128)
-    v = np.asarray(v, dtype=np.complex128)
-    if isinstance(w, mxblock.MxBlock):
-        w_blk = w
-    else:
-        w = np.asarray(w, dtype=np.complex128)
-        inter = np.empty(2 * w.size, dtype=np.float64)
-        inter[0::2] = w.real
-        inter[1::2] = w.imag
-        w_blk = mxblock.encode_block_mx(inter, fmt)
-    if u.shape != v.shape or 2 * v.size != w_blk.n:
-        raise ShapeError("butterfly operands must have matching lengths")
-
-    inter = np.empty(2 * v.size, dtype=np.float64)
-    inter[0::2] = v.real
-    inter[1::2] = v.imag
-    v_blk = mxblock.encode_block_mx(inter, fmt)
-    x_r, x_i = mxblock.mantissas_block(w_blk)
-    y_r, y_i = mxblock.mantissas_block(v_blk)
-    ptype = _product_dtype(fmt)
-    x_r = x_r.astype(ptype)
-    x_i = x_i.astype(ptype)
-    y_r = y_r.astype(ptype)
-    y_i = y_i.astype(ptype)
-    p_r = x_r * y_r - x_i * y_i
-    p_i = x_r * y_i + x_i * y_r
-    s_out = w_blk.scale * v_blk.scale
-    amax = max(np.max(np.abs(p_r), initial=0.0), np.max(np.abs(p_i), initial=0.0))
-    if amax > fmt.max_finite:
-        k = int(np.ceil(np.log2(float(amax) / fmt.max_finite)))
-        p_r = p_r * ptype(2.0**-k)
-        p_i = p_i * ptype(2.0**-k)
-        s_out = s_out * 2.0**k
-    prod = mxblock.encode_from_mant_block(
-        p_r.astype(np.float64), p_i.astype(np.float64), s_out, fmt
-    )
-    wv = mxblock.decode_block_mx(prod).astype(np.complex64)
-    u32 = u.astype(np.complex64)
-    return u32 + wv, u32 - wv
 
 
 # ---------------------------------------------------------------------------

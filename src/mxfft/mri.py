@@ -25,7 +25,7 @@ from .errors import (
     ShapeError,
     TruncatedFile,
 )
-from .fftcore import FftPlan, ModeSpec, fft_2d, make_plan
+from .fftcore import FftPlan, ModeSpec, _is_pow2, fft_2d, make_plan
 from .prescale import PrescaleConfig, apply_prescale, compute_prescale, undo_prescale
 
 KSPACE = "kspace"
@@ -182,10 +182,15 @@ def gen_phantom(
     k-space tail percentile sits at FP64 rounding level and the prescale
     tail rule would dominate the gain, which no acquired data exhibits.
     """
-    if n < 2 or n & (n - 1):
+    if not _is_pow2(n):
         raise ConfigError("n", "must be a power of two >= 2")
     if coils < 1:
         raise ConfigError("coils", "must be >= 1")
+    if seed < 0:
+        raise ConfigError("seed", "must be >= 0")
+    for field, value in (("tail", tail), ("noise", noise)):
+        if not 0 <= value < math.inf:
+            raise ConfigError(field, f"must be finite and >= 0, got {value}")
     rng = np.random.default_rng(seed)
     mag = _phantom_magnitude(n, kind, rng, tail)
     ax = np.linspace(-1.0, 1.0, n)
@@ -238,7 +243,7 @@ def read_grid(path) -> ComplexGrid:
         raise FileFormatError(f"unknown domain code {domain_code}")
     if coils < 1:
         raise FileFormatError(f"coils: header says {coils}, need at least one")
-    if n < 2 or n & (n - 1):
+    if not _is_pow2(n):
         raise FileFormatError(f"n: header says {n}, not a power of two >= 2")
     expected = coils * n * n * 16
     payload = raw[_HEADER.size:]

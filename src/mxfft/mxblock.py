@@ -1,27 +1,10 @@
-"""MX block codec: a block of real scalars sharing one power-of-two scale.
-
-Complex data is stored real/imag interleaved, so a block of B real scalars
-holds B/2 complex values under a single scale.  Codes are kept as decoded
-element-format reals; bit-packing is a storage concern, not a semantic one.
-"""
+"""The MX shared-scale rule: one power-of-two scale per block of values."""
 
 from __future__ import annotations
 
-import dataclasses
-import math
-
 import numpy as np
 
-from .errors import InvalidValue, MantissaOverflow, ShapeError
-from .minifloat import MinifloatFormat, quantize_array
-
-
-@dataclasses.dataclass(frozen=True)
-class MxBlock:
-    codes: np.ndarray  # element-format reals, length n
-    scale: float  # exact power of two
-    n: int
-    fmt: MinifloatFormat
+from .minifloat import MinifloatFormat
 
 
 def block_scales(amax, fmt: MinifloatFormat) -> np.ndarray:
@@ -36,55 +19,3 @@ def block_scales(amax, fmt: MinifloatFormat) -> np.ndarray:
     # underflows/overflows (subnormal amax would otherwise give scale 0)
     s = np.ldexp(1.0, np.clip(e - 1 - fmt.emax, -1022, 1023))
     return np.where(a > 0, s, 1.0)
-
-
-def encode_block_mx(values, fmt: MinifloatFormat) -> MxBlock:
-    """Encode B real scalars as element codes plus one shared power-of-two scale."""
-    v = np.asarray(values, dtype=np.float64)
-    if v.ndim != 1 or v.size < 1:
-        raise ShapeError("block must be a non-empty 1-D array")
-    if not np.all(np.isfinite(v)):
-        raise InvalidValue("non-finite block element")
-    amax = float(np.max(np.abs(v)))
-    scale = float(block_scales(amax, fmt))
-    codes = quantize_array(v / scale, fmt)
-    return MxBlock(codes, scale, v.size, fmt)
-
-
-def mantissas_block(b: MxBlock):
-    """De-interleave block codes into (real, imag) mantissa vectors.
-
-    Returns the element-format values themselves; the shared scale is not
-    applied.
-    """
-    if b.n % 2 != 0:
-        raise ShapeError("complex block length must be even")
-    return b.codes[0::2].copy(), b.codes[1::2].copy()
-
-
-def encode_from_mant_block(p_r, p_i, s_out: float, fmt: MinifloatFormat) -> MxBlock:
-    """Repack mantissa-space real/imag vectors as a block with scale s_out.
-
-    Values are already in mantissa space, so they are quantized as-is.  The
-    caller must have renormalized so that no magnitude exceeds fmt.max_finite.
-    """
-    p_r = np.asarray(p_r, dtype=np.float64)
-    p_i = np.asarray(p_i, dtype=np.float64)
-    if p_r.shape != p_i.shape or p_r.ndim != 1:
-        raise ShapeError("mantissa vectors must be 1-D and of equal length")
-    amax = max(np.max(np.abs(p_r), initial=0.0), np.max(np.abs(p_i), initial=0.0))
-    if amax > fmt.max_finite:
-        raise MantissaOverflow(
-            f"mantissa magnitude {amax} exceeds {fmt.name} max {fmt.max_finite}"
-        )
-    codes = np.empty(2 * p_r.size, dtype=np.float64)
-    codes[0::2] = quantize_array(p_r, fmt)
-    codes[1::2] = quantize_array(p_i, fmt)
-    return MxBlock(codes, float(s_out), codes.size, fmt)
-
-
-def decode_block_mx(b: MxBlock) -> np.ndarray:
-    """Reconstruct the B/2 complex values (codes * scale), in FP64."""
-    if b.n % 2 != 0:
-        raise ShapeError("complex block length must be even")
-    return (b.codes[0::2] + 1j * b.codes[1::2]) * b.scale

@@ -10,12 +10,15 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 
 import numpy as np
 
 from .errors import ConfigError, InvalidValue
 
 EPS = 1e-30  # guards log2 when peak or tail is zero
+# |k| bound of the gain 2^k, so that 2^k and 2^-k are both normal FP64
+K_LIMIT = 1022
 
 
 @dataclasses.dataclass(frozen=True)
@@ -27,12 +30,15 @@ class PrescaleConfig:
     k_max: int = 40
 
     def __post_init__(self):
-        if not self.target > 0:
-            raise ConfigError("target", "must be > 0")
+        if not 0 < self.target < math.inf:
+            raise ConfigError("target", "must be finite and > 0")
         if not 0 < self.tau < 100:
             raise ConfigError("tau", "must be in (0, 100)")
-        if not self.tau_min > 0:
-            raise ConfigError("tau_min", "must be > 0")
+        if not 0 < self.tau_min < math.inf:
+            raise ConfigError("tau_min", "must be finite and > 0")
+        for field in ("k_min", "k_max"):
+            if not -K_LIMIT <= getattr(self, field) <= K_LIMIT:
+                raise ConfigError(field, f"must be in [{-K_LIMIT}, {K_LIMIT}]")
         if self.k_min > self.k_max:
             raise ConfigError("k_min", "must be <= k_max")
 
@@ -50,6 +56,15 @@ def _round_half_away(v: float) -> int:
     return math.floor(v + 0.5) if v >= 0 else math.ceil(v - 0.5)
 
 
+def _log2(ratio: float) -> float:
+    """log2 of a gain ratio, which FP64 may round to 0 or inf.
+
+    Such a ratio is held to the positive finite range: its exponent is then
+    beyond K_LIMIT either way, and clips to the config bounds.
+    """
+    return math.log2(min(max(ratio, math.ulp(0.0)), sys.float_info.max))
+
+
 def compute_prescale(x, cfg: PrescaleConfig) -> PrescaleResult:
     """Choose the power-of-two exponent k for the array x."""
     x = np.asarray(x)
@@ -59,8 +74,8 @@ def compute_prescale(x, cfg: PrescaleConfig) -> PrescaleResult:
     a_max = float(m.max())
     nz = m[m > 0]
     p_tau = float(np.percentile(nz, cfg.tau)) if nz.size else 0.0
-    k1 = _round_half_away(math.log2(cfg.target / max(a_max, EPS)))
-    k2 = math.ceil(math.log2(cfg.tau_min / max(p_tau, EPS)))
+    k1 = _round_half_away(_log2(cfg.target / max(a_max, EPS)))
+    k2 = math.ceil(_log2(cfg.tau_min / max(p_tau, EPS)))
     k = min(max(max(k1, k2), cfg.k_min), cfg.k_max)
     return PrescaleResult(k=k, a_max=a_max, p_tau=p_tau, k1=k1, k2=k2)
 

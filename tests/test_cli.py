@@ -7,7 +7,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from mxfft import ConfigError, gen_phantom
+from mxfft import ConfigError, cli, gen_phantom
 from mxfft.cli import CSV_COLUMNS, ExperimentSpec, build_parser, main, run_experiment, write_csv
 from conftest import PHANTOM
 
@@ -185,6 +185,47 @@ class TestMain:
         code, _, err = _run_main(["forward", "--block", block, "--size", "64", "--seeds", "1"])
         assert code == 2
         assert "blocks" in err and "power of two" in err
+
+    @pytest.mark.parametrize(
+        "flags, field",
+        [
+            (["--k-min", "-1100", "--k-max", "-1100"], "k_min"),
+            (["--k-max", "1100"], "k_max"),
+            (["--tau-min", "inf"], "tau_min"),
+            (["--target", "inf"], "target"),
+            (["--tail", "nan"], "tail"),
+            (["--tail", "-5"], "tail"),
+            (["--noise", "inf"], "noise"),
+            (["--size", "12x"], "sizes"),
+        ],
+    )
+    def test_bad_value_exits_2_naming_the_field(self, flags, field):
+        code, _, err = _run_main(["forward", "--size", "16", "--seeds", "1", *flags])
+        assert code == 2
+        assert err.startswith(f"error: {field}: ")
+
+    def test_bad_block_list_exits_2_naming_blocks(self):
+        code, _, err = _run_main(["sweep", "--block", "8x", "--size", "16", "--seeds", "1"])
+        assert code == 2
+        assert err.startswith("error: blocks: ")
+
+    @pytest.mark.parametrize(
+        "flags, field", [(["--tail", "nan"], "tail"), (["--seed", "-1"], "seed")]
+    )
+    def test_gen_phantom_bad_value_exits_2_naming_the_field(self, flags, field, tmp_path):
+        out = tmp_path / "i.mxcg"
+        code, _, err = _run_main(["gen-phantom", "--size", "16", "--out-image", str(out), *flags])
+        assert code == 2
+        assert err.startswith(f"error: {field}: ")
+        assert not out.exists()
+
+    def test_internal_errors_propagate(self, monkeypatch):
+        def broken(spec):
+            raise ValueError("internal bug")
+
+        monkeypatch.setattr(cli, "run_experiment", broken)
+        with pytest.raises(ValueError, match="internal bug"):
+            main(["forward", "--size", "16", "--seeds", "1"])
 
     def test_gen_phantom_and_input_flow(self, tmp_path):
         ksp = tmp_path / "k.mxcg"

@@ -13,16 +13,15 @@ from mxfft import (
     ModeSpec,
     ShapeError,
     UnsupportedSize,
-    butterfly_mx,
-    decode_block_mx,
-    encode_block_mx,
     fft_1d,
     fft_2d,
     make_plan,
 )
-from mxfft.fftcore import _mx_multiply, _twiddles
+from mxfft.fftcore import _bit_reversal, _mx_multiply, _twiddles
 
+import mx_oracle
 from conftest import brute_dft
+from mx_literal import butterfly_mx, decode_block_mx, encode_block_mx
 
 WIDE = MinifloatFormat("wide", 8, 23, "ieee")
 
@@ -32,6 +31,12 @@ def rel_l2(a, b):
 
 
 class TestPlan:
+    def test_bit_reversal_matches_loop(self):
+        for n in (1 << b for b in range(1, 13)):
+            perm = _bit_reversal(n)
+            assert perm.dtype == np.intp
+            assert np.array_equal(perm, mx_oracle._bit_reversal(n))
+
     def test_n2_twiddles(self):
         p = make_plan(2, ModeSpec.reference())
         assert np.array_equal(p.ref_twiddles[0], [1.0 + 0.0j])

@@ -5,6 +5,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mxfft import (
     BadMagic,
@@ -196,6 +198,23 @@ class TestPhantom:
         with pytest.raises(ConfigError):
             gen_phantom(32, 1, 0, kind="stripes")
 
+    @pytest.mark.parametrize(
+        "kw, field",
+        [
+            (dict(tail=math.nan), "tail"),
+            (dict(tail=-5.0), "tail"),
+            (dict(tail=math.inf), "tail"),
+            (dict(noise=math.nan), "noise"),
+            (dict(noise=-0.1), "noise"),
+            (dict(noise=math.inf), "noise"),
+            (dict(seed=-1), "seed"),
+        ],
+    )
+    def test_rejects_bad_texture_and_seed_naming_the_field(self, kw, field):
+        args = dict(n=16, coils=1, seed=0) | kw
+        with pytest.raises(ConfigError, match=f"^{field}: "):
+            gen_phantom(**args)
+
 
 class TestGridIO:
     def test_roundtrip_bit_identical(self, rng, tmp_path):
@@ -267,3 +286,26 @@ class TestGridIO:
         p.write_bytes(struct.pack("<4sIBII", b"MXCG", 1, 0, 1, 2) + payload)
         with pytest.raises(NonFinitePayload):
             read_grid(p)
+
+
+_FUZZ_GRID = ComplexGrid(np.arange(2 * 4 * 4).reshape(2, 4, 4) * (1.0 - 0.5j), "image")
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_mxcg_fuzz_yields_a_grid_or_file_format_error(data, tmp_path_factory):
+    # truncate and bit-flip a valid file: read_grid either returns a valid
+    # grid or raises FileFormatError, never any other exception
+    p = tmp_path_factory.mktemp("fuzz") / "g.mxcg"
+    write_grid(_FUZZ_GRID, p)
+    raw = bytearray(p.read_bytes())
+    for bit in data.draw(st.lists(st.integers(0, 8 * len(raw) - 1), max_size=8)):
+        raw[bit // 8] ^= 1 << (bit % 8)
+    p.write_bytes(bytes(raw[: data.draw(st.integers(0, len(raw)))]))
+    try:
+        g = read_grid(p)
+    except FileFormatError:
+        return
+    assert isinstance(g, ComplexGrid) and g.domain in ("kspace", "image")
+    assert g.data.dtype == np.complex128 and g.data.shape == (g.coils, g.n, g.n)
+    assert np.all(np.isfinite(g.data))

@@ -6,23 +6,18 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from mxfft import (
-    E4M3,
-    E5M2,
-    InvalidValue,
-    MantissaOverflow,
-    MxBlock,
-    ShapeError,
-    decode_block_mx,
-    encode_block_mx,
-    encode_from_mant_block,
-    enumerate_values,
-    mantissas_block,
-    quantize_scalar,
-)
+from mxfft import E4M3, E5M2, InvalidValue, ShapeError, enumerate_values, quantize_scalar
 from mxfft.mxblock import block_scales
 
 from conftest import nn_quantize
+from mx_literal import (
+    MantissaOverflow,
+    MxBlock,
+    decode_block_mx,
+    encode_block_mx,
+    encode_from_mant_block,
+    mantissas_block,
+)
 
 
 def is_pow2_scale(s):

@@ -38,6 +38,29 @@ class TestConfig:
         with pytest.raises(ConfigError):
             PrescaleConfig(**kw)
 
+    @pytest.mark.parametrize(
+        "kw, field",
+        [
+            (dict(target=math.inf), "target"),
+            (dict(tau_min=math.inf), "tau_min"),
+            (dict(k_min=-1023), "k_min"),
+            (dict(k_min=-1100, k_max=-1100), "k_min"),
+            (dict(k_max=1023), "k_max"),
+        ],
+    )
+    def test_rejects_unbounded_fields_naming_them(self, kw, field):
+        with pytest.raises(ConfigError, match=f"^{field}: "):
+            PrescaleConfig(**kw)
+
+    def test_gain_limits_keep_both_powers_normal(self):
+        # +-1022 is accepted and undone exactly; one step further is not
+        cfg = PrescaleConfig(k_min=-1022, k_max=1022)
+        x = np.array([1.5 + 0.5j])
+        for k in (cfg.k_min, cfg.k_max):
+            assert np.array_equal(undo_prescale(apply_prescale(x, k), k), x)
+        with pytest.raises(ConfigError, match="^k_max: "):
+            PrescaleConfig(k_min=-1022, k_max=1023)
+
 
 class TestComputePrescale:
     def test_at_target(self):
@@ -83,6 +106,18 @@ class TestComputePrescale:
     def test_nonfinite_rejected(self):
         with pytest.raises(InvalidValue):
             compute_prescale(np.array([np.inf]), CFG)
+
+    @pytest.mark.parametrize(
+        "x, cfg, k",
+        [
+            # target / EPS and tau_min / EPS overflow FP64; target / a_max underflows
+            (np.zeros(4), PrescaleConfig(target=1e300), 40),
+            (np.zeros(4), PrescaleConfig(tau_min=1e300), 40),
+            (np.full(4, 1e10), PrescaleConfig(target=1e-320), -40),
+        ],
+    )
+    def test_extreme_gain_ratios_clip_to_bounds(self, x, cfg, k):
+        assert compute_prescale(x, cfg).k == k
 
     def test_peak_lands_within_half_octave(self, rng):
         cfg = PrescaleConfig(k_min=-1000, k_max=1000, tau_min=1e-300)
