@@ -30,7 +30,7 @@ import numpy as np
 from . import mxblock
 from .errors import ConfigError, InvalidValue, ShapeError, UnsupportedSize
 from .minifloat import FP16 as _FP16_FMT
-from .minifloat import MinifloatFormat, _quantize_inplace, get_format, quantize_array
+from .minifloat import MinifloatFormat, _binade, _quantize_inplace, get_format, quantize_array
 
 
 @dataclasses.dataclass(frozen=True)
@@ -42,6 +42,10 @@ class ModeSpec:
     block_size: int = 32  # B: real scalars per MX block (B/2 complex values)
 
     def __post_init__(self):
+        if self.kind not in ("mx", "fp16", "reference"):
+            raise ConfigError("kind", f"unknown mode kind {self.kind!r}; known: mx, fp16, reference")
+        if self.kind == "mx" and not isinstance(self.fmt, MinifloatFormat):
+            raise ConfigError("fmt", f"an MX mode needs a MinifloatFormat, got {self.fmt!r}")
         if self.kind == "mx" and not _is_pow2(self.block_size):
             raise ConfigError("block_size", f"{self.block_size} is not a power of two >= 2")
 
@@ -307,13 +311,14 @@ def _mx_multiply(v: np.ndarray, w, fmt: MinifloatFormat) -> np.ndarray:
     p[0] -= np.multiply(wi, y[1], out=tmp)
     np.multiply(wr, y[1], out=p[1])
     p[1] += np.multiply(wi, y[0], out=tmp)
-    s_out = ws * sv  # powers of two; product exact
-    # renormalize blocks whose products exceed the finite range: shift 0 elsewhere
+    # renormalize blocks whose products exceed the finite range by the least
+    # power of two 2^k >= 1 with amax <= max_finite * 2^k: 2^k is t or 2t for
+    # t = 2^(floor(log2(amax)) - emax), and 1 in blocks already in range
     amax = np.abs(p, out=y).max(axis=_BLOCK_AXES, keepdims=True).astype(np.float64)
-    ratio = np.maximum(amax, fmt.max_finite) / fmt.max_finite
-    shift = np.ceil(np.log2(ratio)).astype(np.int64)
-    p *= np.ldexp(np.ones(1, dtype=p.dtype), -shift)
-    s_out = s_out * np.ldexp(1.0, shift)
+    t = _binade(amax) * 2.0**-fmt.emax
+    shift = np.maximum(np.where(amax > fmt.max_finite * t, 2 * t, t), 1.0)
+    p *= (1.0 / shift).astype(p.dtype)
+    s_out = ws * sv * shift  # powers of two; products exact
     _quantize_inplace(p, fmt, saturate=False)  # now |p| <= max_finite
     # decode: one rounding of the exact product codes * scale to float32
     if _within(s_out, 2.0 ** (_F32.minexp - _F32.nmant), 2.0 ** (_F32.maxexp - 1)):
@@ -329,7 +334,7 @@ def _mx_multiply(v: np.ndarray, w, fmt: MinifloatFormat) -> np.ndarray:
 
 def _is_inverse(direction: str) -> bool:
     if direction not in ("forward", "inverse"):
-        raise ValueError(f"direction must be 'forward' or 'inverse', got {direction!r}")
+        raise ConfigError("direction", f"must be 'forward' or 'inverse', got {direction!r}")
     return direction == "inverse"
 
 

@@ -3,10 +3,9 @@
 Covers the 8-bit (E4M3, E5M2), 6-bit (E2M3, E3M2) and 16-bit (FP16)
 element formats.  Quantization is round-to-nearest, ties-to-even, with
 saturation to the largest finite magnitude and gradual underflow through
-subnormals.  All internal arithmetic of quantize_array is FP64, so the codec
-itself is exact relative to its definition; the in-place variant the MX kernel
-uses works on the exponent bits in float32 or float64 and matches it bit for
-bit.
+subnormals.  There is one quantizer, `_quantize_inplace`, exact in float32 or
+float64; `quantize_array` is its checked FP64 form.  Powers of two are read
+from the exponent bits by `_binade`, here and in the MX kernel.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidValue
+from .errors import ConfigError, InvalidValue
 
 #: Special-value conventions.
 #:   "ieee"     -- top exponent code reserved for inf/NaN (E5M2, FP16)
@@ -29,31 +28,31 @@ POLICIES = ("ieee", "extended", "finite")
 
 @dataclasses.dataclass(frozen=True)
 class MinifloatFormat:
-    """A (1, E, M)-bit floating point format with a fixed special-value policy."""
+    """A (1, E, M)-bit format with the standard bias and a special-value policy.
+
+    2 <= E <= 10 and 1 <= M <= 52: FP64 holds every grid step and 1/step.
+    """
 
     name: str
     exponent_bits: int
     mantissa_bits: int
     policy: str = "finite"
-    bias: int = None  # default 2^(E-1) - 1
 
     def __post_init__(self):
-        if self.exponent_bits < 2:
-            raise ValueError("exponent_bits must be >= 2")
-        if self.mantissa_bits < 1:
-            raise ValueError("mantissa_bits must be >= 1")
+        for field, lo, hi in (("exponent_bits", 2, 10), ("mantissa_bits", 1, 52)):
+            value = getattr(self, field)
+            if not isinstance(value, (int, np.integer)) or not lo <= value <= hi:
+                raise ConfigError(field, f"must be an integer in [{lo}, {hi}], got {value!r}")
         if self.policy not in POLICIES:
-            raise ValueError(f"unknown policy {self.policy!r}")
-        if self.bias is None:
-            object.__setattr__(self, "bias", (1 << (self.exponent_bits - 1)) - 1)
+            raise ConfigError("policy", f"unknown policy {self.policy!r}; known: {', '.join(POLICIES)}")
 
     @property
     def bits(self) -> int:
         return 1 + self.exponent_bits + self.mantissa_bits
 
     @property
-    def has_inf_nan(self) -> bool:
-        return self.policy != "finite"
+    def bias(self) -> int:
+        return (1 << (self.exponent_bits - 1)) - 1
 
     @property
     def emin(self) -> int:
@@ -101,59 +100,56 @@ def get_format(name: str) -> MinifloatFormat:
         return FORMATS[name]
     except KeyError:
         known = ", ".join(sorted(FORMATS))
-        raise KeyError(f"unknown format {name!r}; known formats: {known}") from None
+        raise ConfigError("format", f"unknown format {name!r}; known formats: {known}") from None
 
 
 def quantize_array(values, fmt: MinifloatFormat) -> np.ndarray:
-    """Round every element to the nearest value of `fmt` (ties to even).
+    """Round every element to the nearest value of `fmt` (ties to even), in FP64.
 
     Magnitudes above max_finite saturate; magnitudes below half the smallest
     subnormal flush to zero.  Input must be finite.
     """
-    x = np.asarray(values, dtype=np.float64)
+    # a C-contiguous copy of the caller's values, which the in-place pass overwrites
+    x = np.array(values, dtype=np.float64, order="C")
     if not np.all(np.isfinite(x)):
         raise InvalidValue("non-finite input to quantize")
-    a = np.abs(x)
-    # a = m * 2^e with m in [0.5, 1), so floor(log2(a)) = e - 1
-    _, e = np.frexp(a)
-    eb = np.maximum(e - 1, fmt.emin)
-    step = np.ldexp(1.0, eb - fmt.mantissa_bits)
-    q = np.round(x / step) * step  # np.round is round-half-to-even
-    return np.clip(q, -fmt.max_finite, fmt.max_finite)
+    return _quantize_inplace(x, fmt)[()]
+
+
+def _binade(x: np.ndarray) -> np.ndarray:
+    """2^floor(log2|x|) for normal x, 0 for zero or subnormal x: a new array of
+    x's dtype holding x's exponent field, sign and mantissa bits masked off."""
+    info = np.finfo(x.dtype)
+    bits = x.view(f"u{x.itemsize}")
+    mask = bits.dtype.type(((1 << info.nexp) - 1) << info.nmant)
+    return np.bitwise_and(bits, mask, out=np.empty_like(bits)).view(x.dtype)
 
 
 def _quantize_inplace(x: np.ndarray, fmt: MinifloatFormat, saturate: bool = True) -> np.ndarray:
-    """quantize_array on a finite float32/float64 array, in place, in its own dtype.
+    """Round a finite float32/float64 array to `fmt`, in place, in its own dtype.
 
-    Bit-identical to quantize_array, but skips the finiteness check (callers
-    check once at their boundary) and works on the exponent bits instead of
-    frexp/ldexp: the binade 2^max(floor(log2|x|), emin) is the exponent field
-    with the mantissa masked off, floored at 2^emin; step = binade * 2^-M and
-    1/step are formed by integer arithmetic on those bits.  Then x * (1/step)
-    is rounded half-to-even by rint and multiplied back by step, both exact.
-    Saturating first, rather than clipping last as quantize_array does, gives
-    the same result and cannot overflow.  saturate=False skips that clip; only
-    for callers that guarantee |x| <= max_finite.  Formats whose step or 1/step
-    is not a normal value of x's dtype fall back to quantize_array itself.
+    Skips the finiteness check (callers check once at their boundary).
+    step = 2^(max(floor(log2|x|), emin) - M) and 1/step are formed by integer
+    arithmetic on _binade's exponent field; x * (1/step) is rounded half to
+    even by rint and multiplied back by step, both exact.  Saturating first
+    cannot overflow; saturate=False skips it, for callers that guarantee
+    |x| <= max_finite.  Every step and 1/step must be a normal value of x's
+    dtype: true in float64 for every format, and in float32 for those that
+    fftcore._product_dtype carries in float32.
     """
     info = np.finfo(x.dtype)
     mbits = info.nmant
     if saturate:
         np.clip(x, -fmt.max_finite, fmt.max_finite, out=x)
-    if fmt.mantissa_bits >= mbits and fmt.emin <= info.minexp:
-        return x  # every value of x's dtype is on the format's grid
-    if fmt.emin - fmt.mantissa_bits < info.minexp or fmt.mantissa_bits - fmt.emin >= info.maxexp:
-        x[...] = quantize_array(x, fmt)
-        return x
-    utype = np.dtype(f"u{x.itemsize}").type
-    bias = info.maxexp - 1
-    binade = x.view(utype) & utype(((1 << info.nexp) - 1) << mbits)
+    binade = _binade(x)
     floor = np.empty(binade.shape, dtype=x.dtype)
     floor.fill(2.0**fmt.emin)  # a full operand: numpy's scalar maximum is slow
-    np.maximum(binade.view(x.dtype), floor, out=binade.view(x.dtype))
-    step = binade - utype(fmt.mantissa_bits << mbits)
-    np.subtract(utype((2 * bias + fmt.mantissa_bits) << mbits), binade, out=binade)
-    x *= binade.view(x.dtype)  # 1/step
+    np.maximum(binade, floor, out=binade)
+    bits = binade.view(f"u{x.itemsize}")
+    utype = bits.dtype.type
+    step = bits - utype(fmt.mantissa_bits << mbits)
+    np.subtract(utype((2 * (info.maxexp - 1) + fmt.mantissa_bits) << mbits), bits, out=bits)
+    x *= binade  # 1/step
     np.rint(x, out=x)  # round half to even
     x *= step.view(x.dtype)
     return x

@@ -87,7 +87,14 @@ def rss(images) -> RssImage:
         if any(a.shape != arrs[0].shape for a in arrs):
             raise ShapeError("coil images must share one shape")
         stack = np.stack(arrs)
-    return RssImage(np.sqrt(np.sum(np.abs(stack) ** 2, axis=0)))
+    with np.errstate(over="ignore"):
+        pixels = np.sqrt(np.sum(np.abs(stack) ** 2, axis=0))
+    if not np.isfinite(pixels).all():
+        raise InvalidValue(
+            f"rss: the sum of squared coil magnitudes must stay within the float64 range "
+            f"(<= {np.finfo(np.float64).max:.7g})"
+        )
+    return RssImage(pixels)
 
 
 def forward_pipeline(kspace: ComplexGrid, plan: FftPlan, cfg: PrescaleConfig) -> RssImage:
@@ -166,6 +173,11 @@ def _phantom_magnitude(n, kind, rng, tail):
     return mag * support
 
 
+def _check_phantom(img, field):
+    if not np.isfinite(img).all():
+        raise ConfigError(field, "too large: the phantom image leaves the float64 range")
+
+
 def gen_phantom(
     n: int,
     coils: int,
@@ -192,17 +204,20 @@ def gen_phantom(
         if not 0 <= value < math.inf:
             raise ConfigError(field, f"must be finite and >= 0, got {value}")
     rng = np.random.default_rng(seed)
-    mag = _phantom_magnitude(n, kind, rng, tail)
-    ax = np.linspace(-1.0, 1.0, n)
-    yy, xx = np.meshgrid(ax, ax, indexing="ij")
-    a, b, c, d = rng.uniform(-1.0, 1.0, size=4)
-    phase = np.pi * (a * xx + b * yy + c * xx * yy + d * (xx**2 - yy**2))
-    sens = coil_sensitivities(n, coils, seed)
-    img = mag * np.exp(1j * phase) * sens
-    if noise > 0:
-        img = img + noise * (
-            rng.standard_normal((coils, n, n)) + 1j * rng.standard_normal((coils, n, n))
-        )
+    with np.errstate(over="ignore", invalid="ignore"):
+        mag = _phantom_magnitude(n, kind, rng, tail)
+        ax = np.linspace(-1.0, 1.0, n)
+        yy, xx = np.meshgrid(ax, ax, indexing="ij")
+        a, b, c, d = rng.uniform(-1.0, 1.0, size=4)
+        phase = np.pi * (a * xx + b * yy + c * xx * yy + d * (xx**2 - yy**2))
+        sens = coil_sensitivities(n, coils, seed)
+        img = mag * np.exp(1j * phase) * sens
+        _check_phantom(img, "tail")
+        if noise > 0:
+            img = img + noise * (
+                rng.standard_normal((coils, n, n)) + 1j * rng.standard_normal((coils, n, n))
+            )
+            _check_phantom(img, "noise")
     plan = make_plan(n, ModeSpec.reference())
     norm = 1.0 / (n * n)
     ksp = np.stack([fft_2d(img[c], plan, "inverse") * norm for c in range(coils)])

@@ -5,16 +5,17 @@ Both are the earlier complex `(batch, n)` loops, kept verbatim in their
 arithmetic: bit reversal on load, one `np.concatenate` per stage, the
 reference in complex128 with `v * w`, the FP16 control with FP16 inputs,
 every intermediate of its complex multiply in float16, complex64 add/sub and
-an FP16 output quantize through the public `quantize_array`.  They build
+an FP16 output quantize through the frozen `quant_oracle.quantize_array`.  They build
 their own twiddle tables so that they depend on nothing in `fftcore`.  Tests
 require the package's `fft_1d` and `fft_2d` to equal them bit for bit.
 """
 
 import numpy as np
 
-from mxfft import FP16, quantize_array
+from mxfft import FP16
 
 from mx_oracle import _bit_reversal
+from quant_oracle import quantize_array
 
 
 def _twiddles(n):

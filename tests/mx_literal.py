@@ -1,8 +1,9 @@
 """Literal single-block MX oracle: the paper's butterfly, one block at a time.
 
 A block of B real scalars (complex data stored real/imag interleaved, so
-B/2 complex values) shares one power-of-two scale from the package's
-`block_scales`.  Codes are kept as decoded element-format reals;
+B/2 complex values) shares one power-of-two scale from the frozen
+`quant_oracle.block_scales`, and codes are rounded by the frozen
+`quant_oracle.quantize_array`.  Codes are kept as decoded element-format reals;
 bit-packing is a storage concern, not a semantic one.  `butterfly_mx` runs
 the mantissa-space product with FP32 products, renormalization and
 requantization step by step on such blocks.  The package's batched kernel
@@ -13,9 +14,10 @@ import dataclasses
 
 import numpy as np
 
-from mxfft import InvalidValue, MinifloatFormat, MxfftError, ShapeError, quantize_array
+from mxfft import InvalidValue, MinifloatFormat, MxfftError, ShapeError
 from mxfft.fftcore import _product_dtype
-from mxfft.mxblock import block_scales
+
+from quant_oracle import block_scales, quantize_array
 
 
 class MantissaOverflow(MxfftError):

@@ -3,7 +3,8 @@ float32-plane kernel.
 
 This is the earlier vectorized MX path, kept verbatim in its arithmetic:
 complex64 carry in a (batch, n) layout, blocks along the trailing axis,
-every encode and requantize through the public `quantize_array` in FP64,
+every encode and requantize through the frozen frexp `quantize_array` of
+`quant_oracle` in FP64, the shared scales from its frozen `block_scales`,
 FP32 (or FP64 for wide formats) mantissa products, and `np.concatenate` per
 stage.  It builds its own twiddle tables so that it depends on nothing in
 `fftcore`.  Tests require the package's `fft_2d` to equal it bit for bit.
@@ -11,8 +12,7 @@ stage.  It builds its own twiddle tables so that it depends on nothing in
 
 import numpy as np
 
-from mxfft import quantize_array
-from mxfft.mxblock import block_scales
+from quant_oracle import block_scales, quantize_array
 
 
 def _bit_reversal(n):

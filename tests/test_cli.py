@@ -3,6 +3,7 @@
 import csv
 import inspect
 import io
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -203,6 +204,14 @@ class TestMain:
         code, _, err = _run_main(["forward", "--size", "16", "--seeds", "1", *flags])
         assert code == 2
         assert err.startswith(f"error: {field}: ")
+
+    @pytest.mark.parametrize("noise, field", [("1e308", "noise: "), ("1e200", "rss: ")])
+    def test_overflowing_noise_exits_2_without_a_warning(self, noise, field):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = _run_main(["forward", "--size", "16", "--seeds", "1", "--coils", "1", "--noise", noise])
+        assert code == 2
+        assert err.startswith(f"error: {field}")
 
     def test_bad_block_list_exits_2_naming_blocks(self):
         code, _, err = _run_main(["sweep", "--block", "8x", "--size", "16", "--seeds", "1"])

@@ -1,13 +1,17 @@
+import functools
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from mxfft import (
     E2M3,
     E3M2,
     E4M3,
     E5M2,
+    FORMATS,
     ConfigError,
     MinifloatFormat,
     ModeSpec,
@@ -269,5 +273,58 @@ def test_mode_from_name():
     assert ModeSpec.from_name("fp16").kind == "fp16"
     m = ModeSpec.from_name("e4m3", 8)
     assert m.kind == "mx" and m.fmt is E4M3 and m.block_size == 8
-    with pytest.raises(KeyError):
+    with pytest.raises(ConfigError):
         ModeSpec.from_name("e9m9")
+
+
+@pytest.mark.parametrize(
+    "build, field",
+    [
+        (lambda: ModeSpec.from_name("e9m9"), "format"),
+        (lambda: ModeSpec("weird"), "kind"),
+        (lambda: make_plan(16, ModeSpec("mx")), "fmt"),
+        (lambda: ModeSpec.mx("e4m3"), "fmt"),
+        (lambda: fft_1d(np.ones(4), make_plan(4, ModeSpec.reference()), "backward"), "direction"),
+        (lambda: fft_2d(np.ones((4, 4)), make_plan(4, ModeSpec.mx(E4M3)), "backward"), "direction"),
+    ],
+)
+def test_bad_modes_and_directions_name_the_field(build, field):
+    with pytest.raises(ConfigError, match=f"^{field}: "):
+        build()
+
+
+@functools.lru_cache(maxsize=None)
+def _mx_plan(n, fmt, block):
+    return make_plan(n, ModeSpec.mx(fmt, block))
+
+
+def _in_f32_normal_range(*arrays):
+    """True if every real and imaginary part is 0 or a normal float32 magnitude."""
+    f32 = np.finfo(np.float32)
+    for a in arrays:
+        m = np.abs(a.view(np.float64))
+        if not np.all((m == 0) | ((m >= f32.tiny) & (m <= f32.max))):
+            return False
+    return True
+
+
+@given(
+    fmt=st.sampled_from(list(FORMATS.values())),
+    block=st.sampled_from([2, 8, 32, 64]),
+    log_n=st.integers(1, 8),
+    direction=st.sampled_from(["forward", "inverse"]),
+    k=st.integers(-30, 30),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=150, deadline=None)
+def test_pow2_linearity_property(fmt, block, log_n, direction, k, seed):
+    # shared scales and decodes are powers of two, so scaling the input by
+    # 2^k scales every MX value by 2^k exactly while it stays float32-normal
+    n = 1 << log_n
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    plan = _mx_plan(n, fmt, block)
+    want = fft_2d(x, plan, direction) * 2.0**k
+    assume(_in_f32_normal_range(x * 2.0**k, want))
+    got = fft_2d(x * 2.0**k, plan, direction)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from mxfft import (
+    ConfigError,
     E2M3,
     E3M2,
     E4M3,
@@ -22,7 +24,9 @@ from mxfft import (
 )
 
 from mxfft.minifloat import _quantize_inplace
+from mxfft.mxblock import block_scales
 
+import quant_oracle
 from conftest import mantissa_parity, nn_quantize
 
 ALL = [E4M3, E5M2, E2M3, E3M2, FP16]
@@ -57,14 +61,31 @@ class TestFormatConstants:
     def test_registry(self):
         assert set(FORMATS) == {"e4m3", "e5m2", "e2m3", "e3m2", "fp16"}
         assert get_format("e4m3") is E4M3
-        with pytest.raises(KeyError, match="e5m2"):
+        with pytest.raises(ConfigError, match="e5m2"):
             get_format("nope")
 
     def test_invalid_parameters(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             MinifloatFormat("bad", 1, 3)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             MinifloatFormat("bad", 4, 0)
+
+    @pytest.mark.parametrize(
+        "args,field",
+        [
+            ((11, 4, "ieee"), "exponent_bits"),  # steps below the FP64 normal range
+            ((4, 53, "ieee"), "mantissa_bits"),  # finer than FP64
+            ((4.0, 3), "exponent_bits"),
+            ((4, 3, "nan-free"), "policy"),
+        ],
+    )
+    def test_unsupported_formats_name_the_field(self, args, field):
+        with pytest.raises(ConfigError, match=field):
+            MinifloatFormat("bad", *args)
+
+    def test_bias_is_derived(self):
+        assert [f.bias for f in ALL] == [7, 15, 1, 3, 15]
+        assert "bias" not in {f.name for f in dataclasses.fields(MinifloatFormat)}
 
 
 class TestQuantize:
@@ -170,33 +191,39 @@ def test_symmetric_in_sign(x):
 
 
 # ---------------------------------------------------------------------------
-# The in-place bit-level quantizer the MX kernel uses must equal the public
-# quantize_array bit for bit (signed zeros included) in float32 and float64.
+# The quantizer and the shared-scale rule read powers of two from the exponent
+# bits.  They must equal the frozen frexp versions in tests/quant_oracle.py bit
+# for bit (signed zeros included): the in-place quantizer in float32 and
+# float64, quantize_array and block_scales on any input layout.
 # ---------------------------------------------------------------------------
 
-# e8m10's float32 steps reach below the normal range and e11m4's float64
-# steps do too: both take the quantize_array fallback there
 E8M10 = MinifloatFormat("e8m10", 8, 10, "ieee")
-E11M4 = MinifloatFormat("e11m4", 11, 4, "ieee")
-QUANTIZER_CASES = [
-    (f, d) for f in ALL + [WIDE, E8M10] for d in (np.float32, np.float64)
-] + [(E11M4, np.float64)]
+ORACLE_FORMATS = ALL + [WIDE, E8M10]
+# float32 only where every step of the format is a normal float32, as it is
+# for every format the MX kernel carries in float32; wide and e8m10 steps are not
+QUANTIZER_CASES = [(f, d) for f in ALL for d in (np.float32, np.float64)] + [
+    (WIDE, np.float64),
+    (E8M10, np.float64),
+]
+
+
+def _bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.uint64)
 
 
 def _assert_private_quantizer_matches(x, fmt, saturate=True):
-    with np.errstate(over="ignore"):  # quantize_array's rounding overflows near the float64 max
-        want = quantize_array(x.astype(np.float64), fmt)
+    want = quant_oracle.quantize_array(x.astype(np.float64), fmt)
     got = _quantize_inplace(x.copy(), fmt, saturate=saturate)
     assert got.dtype == x.dtype
-    assert np.array_equal(got.astype(np.float64).view(np.uint64), want.view(np.uint64))
+    assert np.array_equal(_bits(got), _bits(want))
 
 
 def _edge_values(fmt, dtype):
-    """Signed zeros, float32 subnormals, exact ties in every binade of the
-    format (its subnormal range included), max_finite and the values just
-    above it; only those exactly representable in `dtype`."""
+    """Signed zeros, float32 and float64 subnormals, exact ties in every binade
+    of the format (its subnormal range included), max_finite and the values
+    just above it; only those exactly representable in `dtype`."""
     m = fmt.mantissa_bits
-    vals = [0.0, 2.0**-149, 3 * 2.0**-149, 2.0**-127 - 2.0**-149, 2.0**-126]
+    vals = [0.0, 2.0**-149, 3 * 2.0**-149, 2.0**-127 - 2.0**-149, 2.0**-126, 5e-324, 2.0**-1022]
     ks = sorted({0, 1, 2, 3, (1 << m) - 2, (1 << m) - 1})
     for e in range(fmt.emin - 1, fmt.emax + 1):  # emin - 1: the subnormal range
         base = 0.0 if e < fmt.emin else 2.0**e
@@ -230,3 +257,31 @@ def test_private_quantizer_matches_public(data):
     )
     x = data.draw(hnp.arrays(dtype, st.integers(1, 64), elements=elements))
     _assert_private_quantizer_matches(x, fmt)
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_quantize_array_and_block_scales_match_frozen_oracle(data):
+    fmt = data.draw(st.sampled_from(ORACLE_FORMATS), label="fmt")
+    dtype = data.draw(st.sampled_from([np.float32, np.float64]), label="dtype")
+    shape = data.draw(hnp.array_shapes(min_dims=0, max_dims=2, max_side=16), label="shape")
+    elements = st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False, width=np.dtype(dtype).itemsize * 8),
+        st.sampled_from(list(_edge_values(fmt, dtype))),
+    )
+    x = data.draw(hnp.arrays(dtype, shape, elements=elements), label="x")
+    if x.ndim == 2 and data.draw(st.booleans(), label="transposed"):
+        x = x.T  # a non-C-contiguous input
+    q = quantize_array(x, fmt)
+    want = quant_oracle.quantize_array(x, fmt)
+    assert type(q) is type(want)  # 0-d input gives a float64 scalar
+    assert np.array_equal(_bits(q), _bits(want))
+    amax = np.abs(x)
+    assert np.array_equal(_bits(block_scales(amax, fmt)), _bits(quant_oracle.block_scales(amax, fmt)))
+
+
+def test_quantize_array_leaves_its_input_alone():
+    x = np.array([[0.3, -1.7], [2.5, 1e9]]).T
+    before = x.copy()
+    assert np.array_equal(quantize_array(x, E4M3), [[0.3125, 2.5], [-1.75, 448.0]])
+    assert np.array_equal(x, before)

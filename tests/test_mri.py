@@ -2,10 +2,11 @@
 
 import math
 import struct
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mxfft import (
@@ -21,6 +22,7 @@ from mxfft import (
     ShapeError,
     TruncatedFile,
     coil_sensitivities,
+    compute_prescale,
     forward_pipeline,
     gen_phantom,
     make_plan,
@@ -31,6 +33,8 @@ from mxfft import (
     rss,
     write_grid,
 )
+from mxfft.cli import MODE_NAMES
+
 from conftest import COILS, PHANTOM
 
 CFG = PrescaleConfig()
@@ -61,6 +65,10 @@ class TestRss:
     def test_accepts_grid(self, rng):
         d = rng.standard_normal((2, 8, 8)) + 0j
         assert np.array_equal(rss(ComplexGrid(d, "image")).pixels, rss(list(d)).pixels)
+
+    def test_overflow_is_a_typed_error(self):
+        with pytest.raises(InvalidValue, match="float64 range"):
+            rss([np.full((2, 2), 1e200), np.ones((2, 2))])
 
     def test_shape_errors(self):
         with pytest.raises(ShapeError):
@@ -131,6 +139,29 @@ class TestForwardPipeline:
         assert math.isfinite(val)
         assert val > 32.8
         assert val > 25.0
+
+
+
+@given(
+    mode=st.sampled_from(MODE_NAMES),
+    block=st.sampled_from([2, 8, 32]),
+    seed=st.integers(0, 1000),
+    j=st.integers(-30, 30),
+)
+@settings(max_examples=40, deadline=None)
+def test_global_pow2_scale_passes_through_forward_pipeline(mode, block, seed, j):
+    # the paper's premise: an unclipped global prescale absorbs any 2^j, so the
+    # transform sees the same input and the RSS image scales by exactly 2^j
+    n = 16
+    _, ksp = gen_phantom(n, 2, seed, **PHANTOM)
+    scaled = ComplexGrid(ksp.data * 2.0**j, "kspace")
+    r, r_scaled = compute_prescale(ksp.data, CFG), compute_prescale(scaled.data, CFG)
+    assume(r.k == max(r.k1, r.k2) and r_scaled.k == max(r_scaled.k1, r_scaled.k2))
+    assert r_scaled.k == r.k - j
+    plan = make_plan(n, ModeSpec.from_name(mode, block))
+    base = forward_pipeline(ksp, plan, CFG).pixels
+    got = forward_pipeline(scaled, plan, CFG).pixels
+    assert np.array_equal(got.view(np.uint64), (base * 2.0**j).view(np.uint64))
 
 
 class TestRoundtripPipeline:
@@ -214,6 +245,13 @@ class TestPhantom:
         args = dict(n=16, coils=1, seed=0) | kw
         with pytest.raises(ConfigError, match=f"^{field}: "):
             gen_phantom(**args)
+
+    @pytest.mark.parametrize(
+        "kw, field", [(dict(tail=sys.float_info.max), "tail"), (dict(noise=1e308), "noise")]
+    )
+    def test_overflowing_image_names_the_field(self, kw, field):
+        with pytest.raises(ConfigError, match=f"^{field}: .*float64 range"):
+            gen_phantom(32, 4, 0, **kw)
 
 
 class TestGridIO:
