@@ -22,10 +22,8 @@ from .minifloat import (
     FP16,
     FORMATS,
     MinifloatFormat,
-    enumerate_values,
     get_format,
     quantize_array,
-    quantize_scalar,
 )
 from .prescale import (
     PrescaleConfig,

@@ -25,12 +25,13 @@ from .mri import (
     KSPACE,
     PHANTOM_NOISE,
     PHANTOM_TAIL,
-    forward_pipeline,
+    _pipeline,
+    _reference_plan,
     gen_phantom,
     read_grid,
-    roundtrip_pipeline,
     write_grid,
 )
+from .mri import forward_pipeline, roundtrip_pipeline  # noqa: F401  (perfbench traces cli's names)
 from .prescale import PrescaleConfig, compute_prescale
 
 CSV_COLUMNS = [
@@ -98,12 +99,6 @@ def _fmt(v: float) -> str:
     return f"{v:.10g}"
 
 
-def _run_pipeline(grid, plan, cfg, pipeline):
-    if pipeline == "forward":
-        return forward_pipeline(grid, plan, cfg)
-    return roundtrip_pipeline(grid, plan, cfg)
-
-
 def _mean_std(vals):
     if all(v == vals[0] for v in vals):  # also covers all-inf reference cells
         return vals[0], 0.0
@@ -122,34 +117,39 @@ def _row(cell, dataset_id, seed, values, stds, prescale_k, ms):
     return dict(zip(CSV_COLUMNS, fields))
 
 
+def _inputs(spec: ExperimentSpec, size: int):
+    """(dataset_id, seed, grid) of each input of one size: the MXCG file, or
+    one phantom per seed, in the pipeline's domain."""
+    want = KSPACE if spec.pipeline == "forward" else IMAGE
+    if spec.input_path is not None:
+        grid = read_grid(spec.input_path)
+        if grid.n != size:
+            raise ConfigError("sizes", f"input grid is {grid.n}, not {size}")
+        if grid.domain != want:
+            raise ConfigError("input", f"pipeline {spec.pipeline} needs a {want} grid")
+        yield Path(spec.input_path).stem, 0, grid
+        return
+    for seed in spec.seeds:
+        image, kspace = gen_phantom(size, spec.coils, seed, spec.kind, spec.tail, spec.noise)
+        yield f"phantom-{spec.kind}", seed, kspace if want == KSPACE else image
+
+
 def run_experiment(spec: ExperimentSpec):
     """Run the full experiment matrix; returns a list of CSV row dicts.
 
     Detail rows carry per-seed metrics; each cell is followed by one
     aggregate row (seed == "mean") with mean values and std columns filled.
+    Each input's prescale exponent is chosen once and shared by its FP64
+    reference run and every cell.
     """
     spec.validate()
-    cfg = spec.prescale
     rows = []
     for size in sorted(spec.sizes):
-        ref_plan = make_plan(size, ModeSpec.reference())
-        inputs = []  # (dataset_id, seed, grid, reference RSS)
-        if spec.input_path is not None:
-            grid = read_grid(spec.input_path)
-            if grid.n != size:
-                raise ConfigError("sizes", f"input grid is {grid.n}, not {size}")
-            want = KSPACE if spec.pipeline == "forward" else IMAGE
-            if grid.domain != want:
-                raise ConfigError("input", f"pipeline {spec.pipeline} needs a {want} grid")
-            ref_out = _run_pipeline(grid, ref_plan, cfg, spec.pipeline)
-            inputs.append((Path(spec.input_path).stem, 0, grid, ref_out))
-        else:
-            for seed in spec.seeds:
-                image, kspace = gen_phantom(size, spec.coils, seed, spec.kind, spec.tail, spec.noise)
-                grid = kspace if spec.pipeline == "forward" else image
-                ref_out = _run_pipeline(grid, ref_plan, cfg, spec.pipeline)
-                inputs.append((f"phantom-{spec.kind}", seed, grid, ref_out))
-        prescale_ks = [compute_prescale(grid.data, cfg).k for _, _, grid, _ in inputs]
+        ref_plan = _reference_plan(size)
+        inputs = []  # (dataset_id, seed, grid, prescale k, reference RSS)
+        for dataset_id, seed, grid in _inputs(spec, size):
+            k = compute_prescale(grid.data, spec.prescale).k
+            inputs.append((dataset_id, seed, grid, k, _pipeline(grid, ref_plan, k)))
         for mode in sorted(spec.modes, key=MODE_NAMES.index):
             blocks = sorted(spec.blocks) if mode not in ("reference", "fp16") else [None]
             for block in blocks:
@@ -160,9 +160,9 @@ def run_experiment(spec: ExperimentSpec):
                 )
                 cell = (size, mode, block, spec.pipeline)
                 results = []  # (metric values, ms) per input
-                for (dataset_id, seed, grid, ref_out), k in zip(inputs, prescale_ks):
+                for dataset_id, seed, grid, k, ref_out in inputs:
                     t0 = time.perf_counter()
-                    out = _run_pipeline(grid, plan, cfg, spec.pipeline)
+                    out = _pipeline(grid, plan, k)
                     ms = (time.perf_counter() - t0) * 1e3
                     rep = metrics.report(ref_out, out)
                     values = (rep.psnr_db, rep.ssim, rep.nmse)

@@ -13,7 +13,9 @@ twiddle multiply applied to each butterfly's v input:
                  Two float32 planes (real, imaginary).
   * FP16      -- positive control: multiplies with every intermediate
                  rounded to FP16, add/sub in FP32, inputs/outputs in FP16.
-                 Two float32 planes.
+                 Two float32 planes; each op of the multiply runs in float32
+                 and its result is rounded to FP16, which equals float16
+                 arithmetic (see _fp16_multiply).
 A pass whose values leave the mode's range (float64, complex64, FP16) raises
 InvalidValue.  MX block sizes B must be powers of two, so that B/2-value
 blocks tile every stage's half-groups.  No normalization is applied inside
@@ -30,7 +32,8 @@ import numpy as np
 from . import mxblock
 from .errors import ConfigError, InvalidValue, ShapeError, UnsupportedSize
 from .minifloat import FP16 as _FP16_FMT
-from .minifloat import MinifloatFormat, _binade, _quantize_inplace, get_format, quantize_array
+from .minifloat import MinifloatFormat, _binade, _quantize_inplace, get_format
+from .minifloat import quantize_array  # noqa: F401  (perfbench traces fftcore.quantize_array)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -97,9 +100,7 @@ class FftPlan:
     float32 real and imaginary planes otherwise) and calls `multiply(v, w)`,
     the mode's twiddle multiply, once per stage.  shapes[s] is stage s's view
     shape (see _stage_shape) and twiddles[inverse][s] its twiddles, in the
-    mode's format at the v half's broadcast shape.  ref_twiddles keeps the
-    FP64 table of every stage in butterfly order (the flattened (group, j)
-    iteration order), forward direction; the inverse conjugates it.
+    mode's format at the v half's broadcast shape.
     """
 
     def __init__(self, n: int, mode: ModeSpec):
@@ -115,7 +116,6 @@ class FftPlan:
             step = n // (2 * half)
             w = np.exp(-2j * np.pi * np.arange(half) * step / n)
             half_tables.append(np.tile(w, n // (2 * half)))  # butterfly order, len n//2
-        self.ref_twiddles = half_tables
 
         # only MX blocks constrain the view; the others take one value per block
         cpb = min(mode.block_size // 2, n // 2) if mode.kind == "mx" else 1
@@ -183,15 +183,16 @@ def _fft(src, plan: FftPlan, inverse: bool) -> np.ndarray:
     Loads the planes in bit-reversed order into the plan's carry dtype (the
     FP16 control rounds them to FP16 first), runs every stage into
     ping-pong buffers and returns the (C, n, batch) result planes, which the
-    FP16 control quantizes to FP16.  Raises InvalidValue if the result is not
-    finite: an input or intermediate left the mode's range.
+    FP16 control quantizes to FP16, in place.  Raises InvalidValue if the
+    result is not finite, or, in the FP16 control, as soon as a rounding
+    leaves the FP16 range: an input or intermediate left the mode's range.
     """
     kind = plan.mode.kind
     buf = np.empty((len(src),) + src[0].shape, dtype=plan.dtype)
     out = np.empty_like(buf)
     with np.errstate(over="ignore", invalid="ignore"):
         for plane, s in zip(buf, src):
-            plane[...] = s[plan.bitrev].astype(np.float16) if kind == "fp16" else s[plan.bitrev]
+            plane[...] = _fp16_round(s[plan.bitrev]) if kind == "fp16" else s[plan.bitrev]
         for shape, w in zip(plan.shapes, plan.twiddles[inverse]):
             x = buf.reshape(buf.shape[:1] + shape + buf.shape[2:])
             y = out.reshape(x.shape)
@@ -202,7 +203,7 @@ def _fft(src, plan: FftPlan, inverse: bool) -> np.ndarray:
     if not np.isfinite(buf).all():
         raise _out_of_range(kind)
     if kind == "fp16":
-        buf[...] = quantize_array(buf, _FP16_FMT)
+        _quantize_inplace(buf, _FP16_FMT)
     return buf
 
 
@@ -234,7 +235,7 @@ def _twiddles(w: np.ndarray, shape: tuple, mode: ModeSpec):
         codes, scales = _mx_encode(np.stack((w.real, w.imag)), mode.fmt)
         return codes[0], codes[1], scales[0]
     if mode.kind == "fp16":
-        return w.real.astype(np.float16), w.imag.astype(np.float16)
+        return _quantize_inplace(np.stack((w.real, w.imag)), _FP16_FMT).astype(np.float32)
     return w
 
 
@@ -242,18 +243,42 @@ def _twiddles(w: np.ndarray, shape: tuple, mode: ModeSpec):
 # carry dtype.  The reference multiply is np.multiply itself.
 
 
+def _fp16_round(x: np.ndarray) -> np.ndarray:
+    """Round a float32/float64 array to FP16, in place, as a float16 cast would.
+
+    Raises InvalidValue where that cast gives inf or the input is not finite:
+    wherever |x| > max_finite after the rounding, which does not saturate.
+    """
+    _quantize_inplace(x, _FP16_FMT, saturate=False)
+    if not _within(x, -_FP16_FMT.max_finite, _FP16_FMT.max_finite):  # also catches NaN
+        raise _out_of_range("fp16")
+    return x
+
+
 def _fp16_multiply(v: np.ndarray, w) -> np.ndarray:
     """FP16-control complex multiply w*v of a stage, as float32 planes.
 
-    The operands are rounded to FP16 and every intermediate of
-    (wr*vr - wi*vi, wr*vi + wi*vr) is computed in float16.
+    v is rounded to FP16, and every op of (wr*vr - wi*vi, wr*vi + wi*vr) runs
+    in float32 with its result rounded to FP16; w holds the FP16 twiddles as
+    float32.  This is float16 arithmetic: float32 carries p = 24 >= 2*11 + 2
+    significand bits, so rounding a +, - or * of FP16 operands first to
+    float32 and then to FP16 is the single FP16 rounding of the exact result
+    (Higham, Accuracy and Stability of Numerical Algorithms).  The products
+    cannot leave the FP16 range, since |w| <= 1; a rounded v or sum beyond
+    it, where float16 would give inf, raises InvalidValue.
     """
     wr, wi = w
-    vr, vi = v.astype(np.float16)
+    vr, vi = _fp16_round(np.array(v))
+    p = np.empty((4,) + vr.shape, dtype=np.float32)
+    np.multiply(wr, vr, out=p[0])
+    np.multiply(wi, vi, out=p[1])
+    np.multiply(wr, vi, out=p[2])
+    np.multiply(wi, vr, out=p[3])
+    _quantize_inplace(p, _FP16_FMT, saturate=False)
     t = np.empty(v.shape, dtype=np.float32)
-    t[0] = wr * vr - wi * vi
-    t[1] = wr * vi + wi * vr
-    return t
+    np.subtract(p[0], p[1], out=t[0])
+    np.add(p[2], p[3], out=t[1])
+    return _fp16_round(t)
 
 
 _BLOCK_AXES = (0, 2, 4)  # re/im, k, j of a stacked v view (2, G, K, R, J, batch)

@@ -6,9 +6,9 @@ import dataclasses
 import math
 
 import numpy as np
-from scipy.signal import convolve2d
+from scipy.ndimage import correlate1d
 
-from .errors import DegenerateReference, ShapeError, WindowTooLarge
+from .errors import DegenerateReference, InvalidValue, ShapeError, WindowTooLarge
 
 SSIM_WINDOW = 11
 SSIM_SIGMA = 1.5
@@ -56,18 +56,31 @@ def nmse(ref, test) -> float:
     return float(np.sum((r - t) ** 2)) / denom
 
 
-def _gaussian_kernel(size: int, sigma: float) -> np.ndarray:
+def _gaussian_window(size: int, sigma: float) -> np.ndarray:
+    """The normalized 1-D Gaussian; its outer product is the 2-D window."""
     ax = np.arange(size, dtype=np.float64) - (size - 1) / 2.0
     g = np.exp(-(ax**2) / (2.0 * sigma**2))
-    k = np.outer(g, g)
-    return k / k.sum()
+    return g / g.sum()
+
+
+def _window_means(stack: np.ndarray) -> np.ndarray:
+    """Gaussian-weighted means over every full window of each (n, m) image of
+    a (k, n, m) stack: one 1-D pass per image axis, cropped to the valid region."""
+    g = _gaussian_window(SSIM_WINDOW, SSIM_SIGMA)
+    h = SSIM_WINDOW // 2
+    stack = correlate1d(stack, g, axis=1)[:, h:-h]
+    return correlate1d(stack, g, axis=2)[:, :, h:-h]
 
 
 def ssim(ref, test) -> float:
     """Mean local SSIM, 11x11 Gaussian window (sigma 1.5), K1=0.01, K2=0.03.
 
-    Dynamic range is max(ref) - min(ref); a constant reference falls back to
-    L = 1 so identical inputs still score 1.
+    Dynamic range is L = max(ref) - min(ref); a constant reference falls back
+    to L = 1 so identical inputs still score 1.  The window is separable: two
+    1-D passes of the normalized Gaussian (Wang et al. 2004).  Both images
+    and L are first scaled by 2^-floor(log2 L), which is exact and leaves the
+    score unchanged, so that the local statistics of large or small pixel
+    values stay in range.  Raises InvalidValue if they still overflow.
     """
     r, t = _check_pair(ref, test)
     if min(r.shape) < SSIM_WINDOW:
@@ -75,21 +88,22 @@ def ssim(ref, test) -> float:
     L = float(r.max() - r.min())
     if L == 0.0:
         L = 1.0
-    c1 = (SSIM_K1 * L) ** 2
-    c2 = (SSIM_K2 * L) ** 2
-    w = _gaussian_kernel(SSIM_WINDOW, SSIM_SIGMA)
-
-    def f(img):
-        return convolve2d(img, w, mode="valid")
-
-    mu1 = f(r)
-    mu2 = f(t)
-    s1 = f(r * r) - mu1**2
-    s2 = f(t * t) - mu2**2
-    s12 = f(r * t) - mu1 * mu2
-    num = (2 * mu1 * mu2 + c1) * (2 * s12 + c2)
-    den = (mu1**2 + mu2**2 + c1) * (s1 + s2 + c2)
-    val = float(np.mean(num / den))
+    # 2^-e for e = floor(log2 L), with 2^-e kept finite for a subnormal L
+    scale = math.ldexp(1.0, -max(math.frexp(L)[1] - 1, -1023))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        r = r * scale
+        t = t * scale
+        c1 = (SSIM_K1 * L * scale) ** 2
+        c2 = (SSIM_K2 * L * scale) ** 2
+        mu1, mu2, rr, tt, rt = _window_means(np.stack((r, t, r * r, t * t, r * t)))
+        s1 = rr - mu1**2
+        s2 = tt - mu2**2
+        s12 = rt - mu1 * mu2
+        num = (2 * mu1 * mu2 + c1) * (2 * s12 + c2)
+        den = (mu1**2 + mu2**2 + c1) * (s1 + s2 + c2)
+        val = float(np.mean(num / den))
+    if not math.isfinite(val):
+        raise InvalidValue("ssim: the local image statistics leave the float64 range")
     return min(1.0, max(-1.0, val))
 
 

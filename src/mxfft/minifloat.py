@@ -153,31 +153,3 @@ def _quantize_inplace(x: np.ndarray, fmt: MinifloatFormat, saturate: bool = True
     np.rint(x, out=x)  # round half to even
     x *= step.view(x.dtype)
     return x
-
-
-def quantize_scalar(value: float, fmt: MinifloatFormat) -> float:
-    """Scalar form of quantize_array."""
-    if not math.isfinite(value):
-        raise InvalidValue(f"cannot quantize {value!r}")
-    return float(quantize_array(np.float64(value), fmt))
-
-
-def enumerate_values(fmt: MinifloatFormat) -> np.ndarray:
-    """Every finite representable value of `fmt`, ascending, +/-0 collapsed."""
-    e_bits, m_bits = fmt.exponent_bits, fmt.mantissa_bits
-    m_count = 1 << m_bits
-    top_code = (1 << e_bits) - 1
-    mags = []
-    # exponent code 0: zero and subnormals
-    for f in range(m_count):
-        mags.append(math.ldexp(f, fmt.emin - m_bits))
-    for code in range(1, top_code + 1):
-        if fmt.policy == "ieee" and code == top_code:
-            continue  # inf/NaN codes
-        for f in range(m_count):
-            if fmt.policy == "extended" and code == top_code and f == m_count - 1:
-                continue  # NaN code
-            mags.append(math.ldexp(m_count + f, code - fmt.bias - m_bits))
-    pos = sorted(set(mags))
-    neg = [-v for v in reversed(pos) if v != 0.0]
-    return np.array(neg + pos, dtype=np.float64)

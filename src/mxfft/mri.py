@@ -9,6 +9,7 @@ the whole coil stack before the transforms and undone exactly afterwards.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import struct
 
@@ -76,19 +77,10 @@ class RssImage:
         return self.pixels.shape[0]
 
 
-def rss(images) -> RssImage:
+def rss(grid: ComplexGrid) -> RssImage:
     """Root-sum-square coil combination: sqrt(sum_c |T_c|^2) per pixel."""
-    if isinstance(images, ComplexGrid):
-        stack = images.data
-    else:
-        arrs = [np.asarray(a, dtype=np.complex128) for a in images]
-        if len(arrs) < 1:
-            raise ShapeError("need at least one coil")
-        if any(a.shape != arrs[0].shape for a in arrs):
-            raise ShapeError("coil images must share one shape")
-        stack = np.stack(arrs)
     with np.errstate(over="ignore"):
-        pixels = np.sqrt(np.sum(np.abs(stack) ** 2, axis=0))
+        pixels = np.sqrt(np.sum(np.abs(grid.data) ** 2, axis=0))
     if not np.isfinite(pixels).all():
         raise InvalidValue(
             f"rss: the sum of squared coil magnitudes must stay within the float64 range "
@@ -101,25 +93,27 @@ def forward_pipeline(kspace: ComplexGrid, plan: FftPlan, cfg: PrescaleConfig) ->
     """Prescale -> per-coil forward 2-D FFT -> exact prescale undo -> RSS."""
     if kspace.domain != KSPACE:
         raise InvalidValue("forward_pipeline expects a k-space grid")
-    k = compute_prescale(kspace.data, cfg).k
-    xs = apply_prescale(kspace.data, k)
-    out = np.stack([fft_2d(xs[c], plan, "forward") for c in range(kspace.coils)])
-    return rss(ComplexGrid(undo_prescale(out, k), IMAGE))
+    return _pipeline(kspace, plan, compute_prescale(kspace.data, cfg).k)
 
 
 def roundtrip_pipeline(image: ComplexGrid, plan: FftPlan, cfg: PrescaleConfig) -> RssImage:
     """Prescale -> per-coil forward then inverse FFT, 1/N^2 in FP64 -> undo -> RSS."""
     if image.domain != IMAGE:
         raise InvalidValue("roundtrip_pipeline expects an image grid")
-    k = compute_prescale(image.data, cfg).k
-    xs = apply_prescale(image.data, k)
-    norm = 1.0 / (image.n * image.n)
-    out = np.stack(
-        [
-            fft_2d(fft_2d(xs[c], plan, "forward"), plan, "inverse") * norm
-            for c in range(image.coils)
-        ]
-    )
+    return _pipeline(image, plan, compute_prescale(image.data, cfg).k)
+
+
+def _pipeline(grid: ComplexGrid, plan: FftPlan, k: int) -> RssImage:
+    """Both pipelines after the prescale choice: scale by 2^k, transform each
+    coil (k-space forward; an image forward, then inverse with 1/N^2 in FP64),
+    undo 2^k exactly, RSS."""
+    xs = apply_prescale(grid.data, k)
+    out = np.empty_like(xs)
+    norm = 1.0 / (grid.n * grid.n)
+    for c in range(grid.coils):
+        out[c] = fft_2d(xs[c], plan, "forward")
+        if grid.domain == IMAGE:
+            out[c] = fft_2d(out[c], plan, "inverse") * norm
     return rss(ComplexGrid(undo_prescale(out, k), IMAGE))
 
 
@@ -178,6 +172,24 @@ def _check_phantom(img, field):
         raise ConfigError(field, "too large: the phantom image leaves the float64 range")
 
 
+@functools.lru_cache(maxsize=8)
+def _reference_plan(n: int) -> FftPlan:
+    """The FP64 reference plan of size n, built once; plans are immutable."""
+    return make_plan(n, ModeSpec.reference())
+
+
+def _kspace(img: np.ndarray):
+    """The k-space of (coils, n, n) image coils, FP64 inverse 2-D FFTs with
+    1/N^2, or None if the transforms leave the float64 range."""
+    n = img.shape[1]
+    plan = _reference_plan(n)
+    norm = 1.0 / (n * n)
+    try:
+        return np.stack([fft_2d(coil, plan, "inverse") * norm for coil in img])
+    except InvalidValue:
+        return None
+
+
 def gen_phantom(
     n: int,
     coils: int,
@@ -193,6 +205,8 @@ def gen_phantom(
     `noise` sets a small complex noise floor per coil; without it the
     k-space tail percentile sits at FP64 rounding level and the prescale
     tail rule would dominate the gain, which no acquired data exhibits.
+    A `tail` or `noise` whose image or k-space leaves the float64 range
+    raises ConfigError naming it.
     """
     if not _is_pow2(n):
         raise ConfigError("n", "must be a power of two >= 2")
@@ -211,16 +225,19 @@ def gen_phantom(
         a, b, c, d = rng.uniform(-1.0, 1.0, size=4)
         phase = np.pi * (a * xx + b * yy + c * xx * yy + d * (xx**2 - yy**2))
         sens = coil_sensitivities(n, coils, seed)
-        img = mag * np.exp(1j * phase) * sens
-        _check_phantom(img, "tail")
+        clean = mag * np.exp(1j * phase) * sens
+        _check_phantom(clean, "tail")
+        img = clean
         if noise > 0:
-            img = img + noise * (
+            img = clean + noise * (
                 rng.standard_normal((coils, n, n)) + 1j * rng.standard_normal((coils, n, n))
             )
             _check_phantom(img, "noise")
-    plan = make_plan(n, ModeSpec.reference())
-    norm = 1.0 / (n * n)
-    ksp = np.stack([fft_2d(img[c], plan, "inverse") * norm for c in range(coils)])
+    ksp = _kspace(img)
+    if ksp is None:
+        # blame the noise only if the noise-free k-space is in range
+        field = "noise" if noise > 0 and _kspace(clean) is not None else "tail"
+        raise ConfigError(field, "too large: the phantom k-space leaves the float64 range")
     return ComplexGrid(img, IMAGE), ComplexGrid(ksp, KSPACE)
 
 

@@ -1,14 +1,18 @@
-"""Shared oracles and fixtures.
+"""Shared oracles, test helpers and fixtures.
 
 The oracles here are deliberately independent of the library's fast paths:
 brute-force DFT matrices, nearest-neighbor search over enumerated format
-values, and per-window metric formulas.
+values, and per-window metric formulas.  The helpers are conveniences only
+the tests use: scalar quantization and RSS of a list of coil arrays.
 """
+
+import math
 
 import numpy as np
 import pytest
 
-from mxfft import enumerate_values
+from mxfft import ComplexGrid, InvalidValue, ShapeError, quantize_array, rss
+from mxfft.mri import IMAGE
 
 # Phantom settings used by the trend studies and the acceptance suite.
 # tail/noise give the k-space a realistic noise floor and tail weight;
@@ -25,6 +29,44 @@ def brute_dft(x, inverse=False):
     j = np.arange(n)
     sign = 2j if inverse else -2j
     return np.exp(sign * np.pi * np.outer(j, j) / n) @ x
+
+
+def enumerate_values(fmt):
+    """Every finite representable value of `fmt`, ascending, +/-0 collapsed."""
+    e_bits, m_bits = fmt.exponent_bits, fmt.mantissa_bits
+    m_count = 1 << m_bits
+    top_code = (1 << e_bits) - 1
+    mags = []
+    # exponent code 0: zero and subnormals
+    for f in range(m_count):
+        mags.append(math.ldexp(f, fmt.emin - m_bits))
+    for code in range(1, top_code + 1):
+        if fmt.policy == "ieee" and code == top_code:
+            continue  # inf/NaN codes
+        for f in range(m_count):
+            if fmt.policy == "extended" and code == top_code and f == m_count - 1:
+                continue  # NaN code
+            mags.append(math.ldexp(m_count + f, code - fmt.bias - m_bits))
+    pos = sorted(set(mags))
+    neg = [-v for v in reversed(pos) if v != 0.0]
+    return np.array(neg + pos, dtype=np.float64)
+
+
+def quantize_scalar(value, fmt):
+    """Scalar form of quantize_array."""
+    if not math.isfinite(value):
+        raise InvalidValue(f"cannot quantize {value!r}")
+    return float(quantize_array(np.float64(value), fmt))
+
+
+def rss_of(images):
+    """RSS of a list of equal-shape coil arrays, through one image grid."""
+    arrs = [np.asarray(a, dtype=np.complex128) for a in images]
+    if len(arrs) < 1:
+        raise ShapeError("need at least one coil")
+    if any(a.shape != arrs[0].shape for a in arrs):
+        raise ShapeError("coil images must share one shape")
+    return rss(ComplexGrid(np.stack(arrs), IMAGE))
 
 
 def mantissa_parity(v, fmt):

@@ -18,7 +18,6 @@ from mxfft import (
     PrescaleConfig,
     apply_prescale,
     compute_prescale,
-    enumerate_values,
     fft_1d,
     fft_2d,
     forward_pipeline,
@@ -33,7 +32,7 @@ from mxfft import (
 )
 from mxfft.cli import ExperimentSpec, run_experiment
 from mxfft.mxblock import block_scales
-from conftest import COILS, PHANTOM, brute_dft, nn_quantize
+from conftest import COILS, PHANTOM, brute_dft, enumerate_values, nn_quantize
 
 SEEDS = list(range(10))
 MX_MODES = ["e4m3", "e5m2", "e2m3", "e3m2"]

@@ -8,7 +8,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from mxfft import ConfigError, cli, gen_phantom
+from mxfft import ConfigError, PrescaleConfig, cli, compute_prescale, gen_phantom, mri
 from mxfft.cli import CSV_COLUMNS, ExperimentSpec, build_parser, main, run_experiment, write_csv
 from conftest import PHANTOM
 
@@ -92,6 +92,24 @@ class TestRunExperiment:
             assert r["psnr"] == "inf"
             assert r["nmse"] == "0"
             assert r["ssim"] == "1"
+
+    def test_prescale_chosen_once_per_input(self, monkeypatch):
+        # one exponent per input, shared by its reference run and every cell
+        calls = []
+
+        def counted(x, cfg):
+            calls.append(x.shape)
+            return compute_prescale(x, cfg)
+
+        monkeypatch.setattr(cli, "compute_prescale", counted)
+        monkeypatch.setattr(mri, "compute_prescale", counted)
+        rows = run_experiment(_spec(modes=["reference", "fp16", "e4m3"], blocks=[8, 32], seeds=[0, 1]))
+        assert len(calls) == 2
+        want = {
+            str(s): str(compute_prescale(gen_phantom(16, 2, s, **PHANTOM)[1].data, PrescaleConfig()).k)
+            for s in (0, 1)
+        }
+        assert all(r["prescale_k"] == want[r["seed"]] for r in _details(rows))
 
     def test_scalar_modes_ignore_block_axis(self):
         rows = run_experiment(_spec(modes=["reference", "fp16"], blocks=[2, 8, 32], seeds=[0]))
@@ -212,6 +230,26 @@ class TestMain:
             code, _, err = _run_main(["forward", "--size", "16", "--seeds", "1", "--coils", "1", "--noise", noise])
         assert code == 2
         assert err.startswith(f"error: {field}")
+
+    @pytest.mark.parametrize("flags", [["--tail", "1e308"], ["--tail", "1e308", "--noise", "0"]])
+    def test_overflowing_phantom_kspace_exits_2_naming_tail(self, flags):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = _run_main(["forward", "--size", "16", "--seeds", "1", "--coils", "1", *flags])
+        assert code == 2
+        assert err.startswith("error: tail: ") and err.count("\n") == 1
+
+    def test_large_pixels_score_ssim_one_without_a_warning(self):
+        # the reference scored against itself; its SSIM terms overflowed
+        # float64 above about 1e77 and used to read -1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, _ = _run_main(
+                ["forward", "--mode", "reference", "--size", "16", "--seeds", "1", "--coils", "1",
+                 "--noise", "1e80"]
+            )
+        assert code == 0
+        assert list(csv.DictReader(io.StringIO(out)))[0]["ssim"] == "1"
 
     def test_bad_block_list_exits_2_naming_blocks(self):
         code, _, err = _run_main(["sweep", "--block", "8x", "--size", "16", "--seeds", "1"])

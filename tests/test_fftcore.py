@@ -13,6 +13,7 @@ from mxfft import (
     E5M2,
     FORMATS,
     ConfigError,
+    InvalidValue,
     MinifloatFormat,
     ModeSpec,
     ShapeError,
@@ -23,6 +24,7 @@ from mxfft import (
 )
 from mxfft.fftcore import _bit_reversal, _mx_multiply, _twiddles
 
+import fft_oracle
 import mx_oracle
 from conftest import brute_dft
 from mx_literal import butterfly_mx, decode_block_mx, encode_block_mx
@@ -43,13 +45,14 @@ class TestPlan:
 
     def test_n2_twiddles(self):
         p = make_plan(2, ModeSpec.reference())
-        assert np.array_equal(p.ref_twiddles[0], [1.0 + 0.0j])
+        assert np.array_equal(fft_oracle._twiddles(2)[0], [1.0 + 0.0j])
+        assert np.array_equal(p.twiddles[0][0].ravel(), [1.0 + 0.0j])
 
     def test_n8_reference_twiddle(self):
         p = make_plan(8, ModeSpec.reference())
-        w8 = p.ref_twiddles[2][1]  # W_8^1 in the last stage
         expect = np.sqrt(2) / 2 * (1 - 1j)
-        assert abs(w8 - expect) < 1e-15
+        for w in (fft_oracle._twiddles(8)[2], p.twiddles[0][2].ravel()):
+            assert abs(w[1] - expect) < 1e-15  # W_8^1 in the last stage
 
     def test_rejects_bad_sizes(self):
         for n in (0, 1, 3, 12, 100):
@@ -61,7 +64,7 @@ class TestPlan:
         for s, (wcr, wci, ws) in enumerate(p.twiddles[0]):
             # one block row per stage: the table's first half-group, (1, 1, R, J, 1)
             dec = (wcr + 1j * wci) * ws
-            ref = p.ref_twiddles[s][: dec.size].reshape(dec.shape)
+            ref = fft_oracle._twiddles(8)[s][: dec.size].reshape(dec.shape)
             bound = ws * 2.0 ** (E4M3.emax - E4M3.mantissa_bits) / 2
             assert np.all(np.abs(dec.real - ref.real) <= bound)
             assert np.all(np.abs(dec.imag - ref.imag) <= bound)
@@ -258,6 +261,44 @@ class TestFp16Mode:
         e16 = rel_l2(fft_1d(x, make_plan(64, ModeSpec.fp16())), ref)
         e52 = rel_l2(fft_1d(x, make_plan(64, ModeSpec.mx(E5M2, 32))), ref)
         assert e16 < e52
+
+    # FP16 max_finite is 65504; float16 rounds [65504, 65520) down to it and
+    # 65520 and above to inf.  Each case puts one rounding at the boundary:
+    # an input; a v carried in float32 (x1 + x3 after stage 0 of n = 4); a
+    # sum of rounded twiddle products (W_8^1 = c - ic, c = 0.70703125 in FP16,
+    # times v = x1 at the last stage of n = 8: c*46336 -> 32768 and
+    # c*46304 -> 32736).
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "n, values, ok",
+        [
+            (2, {1: 65504.0}, True),
+            (2, {1: 65519.99}, True),
+            (2, {1: 65520.0}, False),
+            (2, {1: -65520.0j}, False),
+            (4, {1: 32752.0, 3: 32752.0}, True),
+            (4, {1: 32752.0, 3: 32768.0}, False),
+            (8, {1: 46336 + 46304j}, True),
+            (8, {1: 46336 + 46336j}, False),
+        ],
+    )
+    @pytest.mark.parametrize("direction", ["forward", "inverse"])
+    def test_range_boundary_matches_frozen_oracle(self, n, values, ok, direction):
+        x = np.zeros(n, complex)
+        for i, v in values.items():
+            x[i] = v
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                want = fft_oracle.fft_1d(x, "fp16", direction)
+            except InvalidValue:  # its output quantize rejects the infinities
+                want = None
+        assert (want is not None) == ok
+        plan = make_plan(n, ModeSpec.fp16())
+        if ok:
+            assert np.array_equal(fft_1d(x, plan, direction), want)
+        else:
+            with pytest.raises(InvalidValue, match="FP16 range"):
+                fft_1d(x, plan, direction)
 
 
 @pytest.mark.parametrize("block", [0, 3, 6, 12, 24])

@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mxfft import (
     DegenerateReference,
+    InvalidValue,
     MetricsReport,
     RssImage,
     ShapeError,
@@ -17,6 +20,8 @@ from mxfft import (
     ssim,
 )
 from mxfft.metrics import SSIM_K1, SSIM_K2, SSIM_SIGMA, SSIM_WINDOW
+
+import ssim_oracle
 
 
 def _rand_pair(rng, n=32, noise=0.05):
@@ -146,6 +151,46 @@ class TestSsim:
     def test_constant_reference_falls_back(self):
         r = np.ones((16, 16))
         assert ssim(r, r.copy()) == 1.0
+        assert ssim(3e-200 * r, 3e-200 * r) == 1.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(11, 256),
+        st.integers(11, 256),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(["noisy", "anticorrelated", "independent"]),
+    )
+    def test_matches_frozen_convolve2d_oracle(self, n, m, seed, kind):
+        rng = np.random.default_rng(seed)
+        r = rng.uniform(0.0, 2.0, (n, m))
+        if kind == "noisy":
+            t = r + 0.1 * rng.standard_normal((n, m))
+        elif kind == "anticorrelated":
+            t = (r.max() + r.min()) - r
+        else:
+            t = rng.uniform(0.0, 2.0, (n, m))
+        assert ssim(r, t) == pytest.approx(ssim_oracle.ssim(r, t), abs=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(11, 40), st.integers(0, 2**32 - 1), st.integers(-250, 250))
+    def test_power_of_two_scaling_is_bit_exact(self, n, seed, j):
+        rng = np.random.default_rng(seed)
+        r = rng.uniform(0.0, 1.0, (n, n))
+        t = r + 0.2 * rng.standard_normal((n, n))
+        scale = 2.0**j
+        assert ssim(r * scale, t * scale) == ssim(r, t)
+
+    @pytest.mark.filterwarnings("error")
+    def test_large_pixels_score_one_against_themselves(self, rng):
+        # (2*mu1*mu2 + c1)*(2*s12 + c2) overflows float64 above about 1e77
+        r = 1e150 * rng.uniform(0.0, 1.0, (16, 16))
+        assert ssim(r, r.copy()) == 1.0
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_statistics_are_a_typed_error(self, rng):
+        r = rng.uniform(0.0, 1.0, (16, 16))
+        with pytest.raises(InvalidValue, match="ssim"):
+            ssim(r, 1e300 * r)
 
 
 class TestReport:

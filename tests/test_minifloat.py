@@ -17,17 +17,15 @@ from mxfft import (
     FORMATS,
     InvalidValue,
     MinifloatFormat,
-    enumerate_values,
     get_format,
     quantize_array,
-    quantize_scalar,
 )
 
 from mxfft.minifloat import _quantize_inplace
 from mxfft.mxblock import block_scales
 
 import quant_oracle
-from conftest import mantissa_parity, nn_quantize
+from conftest import enumerate_values, mantissa_parity, nn_quantize, quantize_scalar
 
 ALL = [E4M3, E5M2, E2M3, E3M2, FP16]
 WIDE = MinifloatFormat("wide", 8, 23, "ieee")

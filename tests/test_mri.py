@@ -33,9 +33,10 @@ from mxfft import (
     rss,
     write_grid,
 )
+from mxfft import mri
 from mxfft.cli import MODE_NAMES
 
-from conftest import COILS, PHANTOM
+from conftest import COILS, PHANTOM, rss_of
 
 CFG = PrescaleConfig()
 
@@ -43,15 +44,15 @@ CFG = PrescaleConfig()
 class TestRss:
     def test_single_coil_is_magnitude(self, rng):
         a = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-        assert np.allclose(rss([a]).pixels, np.abs(a), atol=0)
+        assert np.allclose(rss_of([a]).pixels, np.abs(a), atol=0)
 
     def test_two_identical_coils(self, rng):
         a = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-        assert np.allclose(rss([a, a]).pixels, math.sqrt(2) * np.abs(a), rtol=1e-15)
+        assert np.allclose(rss_of([a, a]).pixels, math.sqrt(2) * np.abs(a), rtol=1e-15)
 
     def test_per_pixel_oracle(self, rng):
         stack = rng.standard_normal((4, 8, 8)) + 1j * rng.standard_normal((4, 8, 8))
-        out = rss(list(stack)).pixels
+        out = rss_of(list(stack)).pixels
         for i in range(8):
             for j in range(8):
                 expect = math.sqrt(sum(abs(stack[c, i, j]) ** 2 for c in range(4)))
@@ -60,21 +61,21 @@ class TestRss:
     def test_phase_invariance(self, rng):
         stack = rng.standard_normal((3, 8, 8)) + 1j * rng.standard_normal((3, 8, 8))
         rotated = [np.exp(1j * rng.uniform(0, 2 * np.pi)) * c for c in stack]
-        assert np.allclose(rss(rotated).pixels, rss(list(stack)).pixels, atol=1e-12)
+        assert np.allclose(rss_of(rotated).pixels, rss_of(list(stack)).pixels, atol=1e-12)
 
     def test_accepts_grid(self, rng):
         d = rng.standard_normal((2, 8, 8)) + 0j
-        assert np.array_equal(rss(ComplexGrid(d, "image")).pixels, rss(list(d)).pixels)
+        assert np.array_equal(rss(ComplexGrid(d, "image")).pixels, rss_of(list(d)).pixels)
 
     def test_overflow_is_a_typed_error(self):
         with pytest.raises(InvalidValue, match="float64 range"):
-            rss([np.full((2, 2), 1e200), np.ones((2, 2))])
+            rss_of([np.full((2, 2), 1e200), np.ones((2, 2))])
 
     def test_shape_errors(self):
         with pytest.raises(ShapeError):
-            rss([])
+            rss_of([])
         with pytest.raises(ShapeError):
-            rss([np.ones((4, 4)), np.ones((4, 8))])
+            rss_of([np.ones((4, 4)), np.ones((4, 8))])
 
 
 class TestComplexGrid:
@@ -112,7 +113,7 @@ class TestForwardPipeline:
         k = rng.standard_normal((2, n, n)) + 1j * rng.standard_normal((2, n, n))
         out = forward_pipeline(ComplexGrid(k, "kspace"), make_plan(n, ModeSpec.reference()), CFG)
         f = np.exp(-2j * np.pi * np.outer(np.arange(n), np.arange(n)) / n)
-        oracle = rss([f @ k[c] @ f.T for c in range(2)])
+        oracle = rss_of([f @ k[c] @ f.T for c in range(2)])
         assert np.max(np.abs(out.pixels - oracle.pixels)) < 1e-10
 
     def test_linearity_in_amplitude(self, rng):
@@ -169,7 +170,7 @@ class TestRoundtripPipeline:
         n = 16
         img = rng.standard_normal((3, n, n)) + 1j * rng.standard_normal((3, n, n))
         out = roundtrip_pipeline(ComplexGrid(img, "image"), make_plan(n, ModeSpec.reference()), CFG)
-        expect = rss(list(img))
+        expect = rss_of(list(img))
         assert np.max(np.abs(out.pixels - expect.pixels)) < 1e-9 * np.max(expect.pixels)
 
     def test_zero_input(self):
@@ -219,7 +220,7 @@ class TestPhantom:
 
     def test_sensitivity_rss_floor(self):
         maps = coil_sensitivities(64, COILS, seed=5)
-        assert np.min(rss(list(maps)).pixels) >= 0.5
+        assert np.min(rss_of(list(maps)).pixels) >= 0.5
 
     def test_bad_params(self):
         with pytest.raises(ConfigError):
@@ -252,6 +253,35 @@ class TestPhantom:
     def test_overflowing_image_names_the_field(self, kw, field):
         with pytest.raises(ConfigError, match=f"^{field}: .*float64 range"):
             gen_phantom(32, 4, 0, **kw)
+
+    # finite images whose k-space transform overflows: the noise is blamed
+    # only when the noise-free k-space stays in range
+    @pytest.mark.parametrize(
+        "kw, field",
+        [
+            (dict(tail=1e308), "tail"),
+            (dict(noise=1e307), "noise"),
+            (dict(tail=1e307, noise=1e307), "tail"),
+            (dict(tail=1e308, noise=0.0), "tail"),
+        ],
+    )
+    def test_overflowing_kspace_names_the_field(self, kw, field):
+        with pytest.raises(ConfigError, match=f"^{field}: .*k-space leaves the float64 range"):
+            gen_phantom(16, 1, 0, **kw)
+
+    def test_reference_plan_built_once_per_size(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(mri, "make_plan", lambda n, mode: built.append(n) or make_plan(n, mode))
+        mri._reference_plan.cache_clear()
+        first = gen_phantom(16, 2, 0)
+        for seed in (1, 2):
+            gen_phantom(16, 2, seed)
+        gen_phantom(32, 2, 0)
+        assert built == [16, 32]
+        mri._reference_plan.cache_clear()
+        again = gen_phantom(16, 2, 0)
+        for a, b in zip(first, again):
+            assert np.array_equal(a.data, b.data)
 
 
 class TestGridIO:

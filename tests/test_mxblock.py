@@ -6,10 +6,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from mxfft import E4M3, E5M2, InvalidValue, ShapeError, enumerate_values, quantize_scalar
+from mxfft import E4M3, E5M2, InvalidValue, ShapeError
 from mxfft.mxblock import block_scales
 
-from conftest import nn_quantize
+from conftest import enumerate_values, nn_quantize, quantize_scalar
 from mx_literal import (
     MantissaOverflow,
     MxBlock,
