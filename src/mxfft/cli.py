@@ -18,7 +18,8 @@ from pathlib import Path
 
 from . import metrics
 from .errors import ConfigError, MxfftError
-from .fftcore import ModeSpec, _is_pow2, make_plan
+from .fftcore import ModeSpec, _is_pow2
+from .fftcore import make_plan  # noqa: F401  (perfbench traces cli.make_plan)
 from .minifloat import FORMATS
 from .mri import (
     IMAGE,
@@ -26,7 +27,7 @@ from .mri import (
     PHANTOM_NOISE,
     PHANTOM_TAIL,
     _pipeline,
-    _reference_plan,
+    _plan,
     gen_phantom,
     read_grid,
     write_grid,
@@ -140,12 +141,13 @@ def run_experiment(spec: ExperimentSpec):
     Detail rows carry per-seed metrics; each cell is followed by one
     aggregate row (seed == "mean") with mean values and std columns filled.
     Each input's prescale exponent is chosen once and shared by its FP64
-    reference run and every cell.
+    reference run and every cell; each (size, mode) plan is built once per
+    process.
     """
     spec.validate()
     rows = []
     for size in sorted(spec.sizes):
-        ref_plan = _reference_plan(size)
+        ref_plan = _plan(size, ModeSpec.reference())
         inputs = []  # (dataset_id, seed, grid, prescale k, reference RSS)
         for dataset_id, seed, grid in _inputs(spec, size):
             k = compute_prescale(grid.data, spec.prescale).k
@@ -153,11 +155,7 @@ def run_experiment(spec: ExperimentSpec):
         for mode in sorted(spec.modes, key=MODE_NAMES.index):
             blocks = sorted(spec.blocks) if mode not in ("reference", "fp16") else [None]
             for block in blocks:
-                plan = (
-                    ref_plan
-                    if mode == "reference"
-                    else make_plan(size, ModeSpec.from_name(mode, block or 32))
-                )
+                plan = _plan(size, ModeSpec.from_name(mode, block or 32))
                 cell = (size, mode, block, spec.pipeline)
                 results = []  # (metric values, ms) per input
                 for dataset_id, seed, grid, k, ref_out in inputs:

@@ -178,21 +178,25 @@ def _out_of_range(kind: str) -> InvalidValue:
 
 
 def _fft(src, plan: FftPlan, inverse: bool) -> np.ndarray:
-    """Transforms of the columns of C source planes, each (n, batch).
+    """Transforms along axis 0 of C source planes, each (n, ...).
 
-    Loads the planes in bit-reversed order into the plan's carry dtype (the
-    FP16 control rounds them to FP16 first), runs every stage into
+    Every index of a plane's trailing axes is one length-n signal; the
+    driver carries them, in C order, as the batch columns of (n, batch)
+    planes.  Loads the planes in bit-reversed order into the plan's carry
+    dtype (the FP16 control rounds them to FP16 first), runs every stage into
     ping-pong buffers and returns the (C, n, batch) result planes, which the
     FP16 control quantizes to FP16, in place.  Raises InvalidValue if the
     result is not finite, or, in the FP16 control, as soon as a rounding
     leaves the FP16 range: an input or intermediate left the mode's range.
     """
     kind = plan.mode.kind
-    buf = np.empty((len(src),) + src[0].shape, dtype=plan.dtype)
+    buf = np.empty((len(src), plan.n, src[0][0].size), dtype=plan.dtype)
     out = np.empty_like(buf)
     with np.errstate(over="ignore", invalid="ignore"):
         for plane, s in zip(buf, src):
-            plane[...] = _fp16_round(s[plan.bitrev]) if kind == "fp16" else s[plan.bitrev]
+            plane.reshape(s.shape)[...] = (
+                _fp16_round(s[plan.bitrev]) if kind == "fp16" else s[plan.bitrev]
+            )
         for shape, w in zip(plan.shapes, plan.twiddles[inverse]):
             x = buf.reshape(buf.shape[:1] + shape + buf.shape[2:])
             y = out.reshape(x.shape)
@@ -208,17 +212,17 @@ def _fft(src, plan: FftPlan, inverse: bool) -> np.ndarray:
 
 
 def _planes(z: np.ndarray, plan: FftPlan) -> tuple:
-    """The driver's source planes of a complex (n, batch) array."""
+    """The driver's source planes of a complex array."""
     return (z,) if plan.dtype == np.complex128 else (z.real, z.imag)
 
 
-def _join(planes: np.ndarray, dtype) -> np.ndarray:
-    """The complex (n, batch) array of the driver's result planes."""
+def _join(planes: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write the driver's result planes into the complex array `out`."""
     if len(planes) == 1:
-        return planes[0]
-    out = np.empty(planes.shape[1:], dtype=dtype)
-    out.real = planes[0]
-    out.imag = planes[1]
+        out[...] = planes[0]
+    else:
+        out.real = planes[0]
+        out.imag = planes[1]
     return out
 
 
@@ -374,19 +378,43 @@ def fft_1d(x, plan: FftPlan, direction: str = "forward") -> np.ndarray:
     inverse = _is_inverse(direction)
     if x.shape[0] != plan.n:
         raise ShapeError(f"expected length {plan.n}, got {x.shape[0]}")
-    return _join(_fft(_planes(x[:, None], plan), plan, inverse), np.complex64)[:, 0]
+    out = np.empty(plan.n, dtype=np.result_type(plan.dtype, np.complex64))
+    return _join(_fft(_planes(x, plan), plan, inverse)[:, :, 0], out)
+
+
+# Coils per stage-driver call of fft_2d: max(1, COIL_CHUNK_ELEMS // n**2).
+# Wider calls spread the driver's fixed per-stage cost over more columns, but
+# past about 2**15 complex values per call the stage temporaries outgrow a
+# 2 MiB L2 cache and every column gets slower.
+COIL_CHUNK_ELEMS = 2**15
 
 
 def fft_2d(x, plan: FftPlan, direction: str = "forward") -> np.ndarray:
-    """Row transforms then column transforms of a square N x N grid, as complex128."""
+    """Row transforms then column transforms of a square N x N grid, as complex128.
+
+    x may also be a (C, N, N) stack of coils, each transformed independently
+    and bit-identically to its own fft_2d.  The coils run in chunks of
+    max(1, COIL_CHUNK_ELEMS // N**2), one stage-driver call per chunk and
+    pass: N=256 runs one coil per call, N=128 two, N=64 eight.
+    """
     x = np.asarray(x, dtype=np.complex128)
-    if x.ndim != 2 or x.shape[0] != x.shape[1]:
-        raise UnsupportedSize("fft_2d expects a square grid")
-    if x.shape[0] != plan.n:
-        raise UnsupportedSize(f"grid size {x.shape[0]} does not match plan size {plan.n}")
+    if x.ndim not in (2, 3) or x.shape[-1] != x.shape[-2]:
+        raise UnsupportedSize("fft_2d expects a square grid or a (coils, n, n) stack of them")
+    n = x.shape[-1]
+    if n != plan.n:
+        raise UnsupportedSize(f"grid size {n} does not match plan size {plan.n}")
     inverse = _is_inverse(direction)
-    # the driver transforms columns, so the row pass reads x transposed and
-    # returns planes indexed (k, row); their transposes are the columns of
-    # the row-transformed grid, and the column pass returns (k, l) as is
-    rows = _fft(_planes(x.T, plan), plan, inverse)
-    return _join(_fft(rows.transpose(0, 2, 1), plan, inverse), np.complex128)
+    coils = x.reshape(-1, n, n)
+    out = np.empty(coils.shape, dtype=np.complex128)
+    chunk = max(1, COIL_CHUNK_ELEMS // (n * n))
+    for c0 in range(0, len(coils), chunk):
+        xs = coils[c0 : c0 + chunk]
+        c = len(xs)
+        # the driver transforms along axis 0, so the row pass reads each coil
+        # transposed, (l, coil, row), and returns planes (k, coil * n + row);
+        # the column pass reads them as (row, coil, k) and returns
+        # (k', coil * n + k), which is written to out[coil, k', k]
+        rows = _fft(_planes(xs.transpose(2, 0, 1), plan), plan, inverse)
+        cols = _fft(rows.reshape(-1, n, c, n).transpose(0, 3, 2, 1), plan, inverse)
+        _join(cols.reshape(-1, n, c, n).transpose(0, 2, 1, 3), out[c0 : c0 + c])
+    return out.reshape(x.shape)

@@ -35,25 +35,42 @@ def _check_pair(ref, test):
     return r, t
 
 
-def psnr(ref, test) -> float:
-    """20*log10(peak/rmse) with peak = max of the reference image."""
+def _unit_scale(v: float) -> float:
+    """2^-floor(log2 v) for v > 0, kept finite for a subnormal v: multiplying
+    by it is exact and brings v into [1, 2)."""
+    return math.ldexp(1.0, -max(math.frexp(v)[1] - 1, -1023))
+
+
+def _scaled_errors(metric: str, ref, test):
+    """(r, sum((r - t)^2)) of the checked pair, both first scaled by
+    _unit_scale(max|ref|).  The scaling is exact, so PSNR and NMSE are
+    unchanged, and large or small pixels square without leaving the float64
+    range.  Raises InvalidValue if the sum still overflows."""
     r, t = _check_pair(ref, test)
-    peak = float(r.max())
     if not np.any(r):
         raise DegenerateReference("all-zero reference image")
-    mse = float(np.mean((r - t) ** 2))
+    scale = _unit_scale(float(np.abs(r).max()))
+    r = r * scale
+    with np.errstate(over="ignore"):
+        err = float(np.sum((r - t * scale) ** 2))
+    if not math.isfinite(err):
+        raise InvalidValue(f"{metric}: the squared pixel errors leave the float64 range")
+    return r, err
+
+
+def psnr(ref, test) -> float:
+    """20*log10(peak/rmse) with peak = max of the reference image."""
+    r, err = _scaled_errors("psnr", ref, test)
+    mse = err / r.size
     if mse == 0.0:
         return math.inf
-    return 20.0 * math.log10(peak / math.sqrt(mse))
+    return 20.0 * math.log10(float(r.max()) / math.sqrt(mse))
 
 
 def nmse(ref, test) -> float:
     """||ref - test||^2 / ||ref||^2 (Frobenius)."""
-    r, t = _check_pair(ref, test)
-    denom = float(np.sum(r**2))
-    if denom == 0.0:
-        raise DegenerateReference("all-zero reference image")
-    return float(np.sum((r - t) ** 2)) / denom
+    r, err = _scaled_errors("nmse", ref, test)
+    return err / float(np.sum(r**2))
 
 
 def _gaussian_window(size: int, sigma: float) -> np.ndarray:
@@ -88,8 +105,7 @@ def ssim(ref, test) -> float:
     L = float(r.max() - r.min())
     if L == 0.0:
         L = 1.0
-    # 2^-e for e = floor(log2 L), with 2^-e kept finite for a subnormal L
-    scale = math.ldexp(1.0, -max(math.frexp(L)[1] - 1, -1023))
+    scale = _unit_scale(L)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         r = r * scale
         t = t * scale

@@ -142,9 +142,7 @@ def _quantize_inplace(x: np.ndarray, fmt: MinifloatFormat, saturate: bool = True
     if saturate:
         np.clip(x, -fmt.max_finite, fmt.max_finite, out=x)
     binade = _binade(x)
-    floor = np.empty(binade.shape, dtype=x.dtype)
-    floor.fill(2.0**fmt.emin)  # a full operand: numpy's scalar maximum is slow
-    np.maximum(binade, floor, out=binade)
+    np.maximum(binade, x.dtype.type(2.0**fmt.emin), out=binade)
     bits = binade.view(f"u{x.itemsize}")
     utype = bits.dtype.type
     step = bits - utype(fmt.mantissa_bits << mbits)

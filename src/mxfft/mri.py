@@ -79,8 +79,14 @@ class RssImage:
 
 def rss(grid: ComplexGrid) -> RssImage:
     """Root-sum-square coil combination: sqrt(sum_c |T_c|^2) per pixel."""
+    return _rss(grid.data)
+
+
+def _rss(data: np.ndarray) -> RssImage:
+    """rss of (coils, n, n) complex data; raises InvalidValue if a pixel is
+    not finite, which also catches non-finite data."""
     with np.errstate(over="ignore"):
-        pixels = np.sqrt(np.sum(np.abs(grid.data) ** 2, axis=0))
+        pixels = np.sqrt(np.sum(np.abs(data) ** 2, axis=0))
     if not np.isfinite(pixels).all():
         raise InvalidValue(
             f"rss: the sum of squared coil magnitudes must stay within the float64 range "
@@ -106,15 +112,15 @@ def roundtrip_pipeline(image: ComplexGrid, plan: FftPlan, cfg: PrescaleConfig) -
 def _pipeline(grid: ComplexGrid, plan: FftPlan, k: int) -> RssImage:
     """Both pipelines after the prescale choice: scale by 2^k, transform each
     coil (k-space forward; an image forward, then inverse with 1/N^2 in FP64),
-    undo 2^k exactly, RSS."""
-    xs = apply_prescale(grid.data, k)
-    out = np.empty_like(xs)
-    norm = 1.0 / (grid.n * grid.n)
-    for c in range(grid.coils):
-        out[c] = fft_2d(xs[c], plan, "forward")
-        if grid.domain == IMAGE:
-            out[c] = fft_2d(out[c], plan, "inverse") * norm
-    return rss(ComplexGrid(undo_prescale(out, k), IMAGE))
+    undo 2^k exactly, RSS.  The transforms raise on a non-finite result, and
+    an undo that overflows is caught by the RSS check."""
+    out = fft_2d(apply_prescale(grid.data, k), plan, "forward")
+    if grid.domain == IMAGE:
+        out = fft_2d(out, plan, "inverse")
+        out *= 1.0 / (grid.n * grid.n)
+    with np.errstate(over="ignore"):
+        undo_prescale(out, k, out=out)
+    return _rss(out)
 
 
 # ---------------------------------------------------------------------------
@@ -172,22 +178,22 @@ def _check_phantom(img, field):
         raise ConfigError(field, "too large: the phantom image leaves the float64 range")
 
 
-@functools.lru_cache(maxsize=8)
-def _reference_plan(n: int) -> FftPlan:
-    """The FP64 reference plan of size n, built once; plans are immutable."""
-    return make_plan(n, ModeSpec.reference())
+@functools.lru_cache(maxsize=64)
+def _plan(n: int, mode: ModeSpec) -> FftPlan:
+    """The plan of size n and mode, built once per process; plans are immutable."""
+    return make_plan(n, mode)
 
 
 def _kspace(img: np.ndarray):
     """The k-space of (coils, n, n) image coils, FP64 inverse 2-D FFTs with
     1/N^2, or None if the transforms leave the float64 range."""
     n = img.shape[1]
-    plan = _reference_plan(n)
-    norm = 1.0 / (n * n)
     try:
-        return np.stack([fft_2d(coil, plan, "inverse") * norm for coil in img])
+        ksp = fft_2d(img, _plan(n, ModeSpec.reference()), "inverse")
     except InvalidValue:
         return None
+    ksp *= 1.0 / (n * n)
+    return ksp
 
 
 def gen_phantom(

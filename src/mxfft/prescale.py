@@ -80,14 +80,14 @@ def compute_prescale(x, cfg: PrescaleConfig) -> PrescaleResult:
     return PrescaleResult(k=k, a_max=a_max, p_tau=p_tau, k1=k1, k2=k2)
 
 
-def apply_prescale(x, k: int):
-    """Multiply every element by exactly 2^k.
+def apply_prescale(x, k: int, out=None):
+    """Multiply every element by exactly 2^k, into `out` if given.
 
     Exact in binary floating point while results stay in normal FP64 range.
     """
-    return np.asarray(x) * math.ldexp(1.0, k)
+    return np.multiply(x, math.ldexp(1.0, k), out=out)
 
 
-def undo_prescale(x, k: int):
+def undo_prescale(x, k: int, out=None):
     """Exact inverse of apply_prescale(x, k)."""
-    return apply_prescale(x, -k)
+    return apply_prescale(x, -k, out)

@@ -3,12 +3,13 @@
 import csv
 import inspect
 import io
+import math
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from mxfft import ConfigError, PrescaleConfig, cli, compute_prescale, gen_phantom, mri
+from mxfft import ConfigError, PrescaleConfig, cli, compute_prescale, gen_phantom, make_plan, mri
 from mxfft.cli import CSV_COLUMNS, ExperimentSpec, build_parser, main, run_experiment, write_csv
 from conftest import PHANTOM
 
@@ -110,6 +111,23 @@ class TestRunExperiment:
             for s in (0, 1)
         }
         assert all(r["prescale_k"] == want[r["seed"]] for r in _details(rows))
+
+    def test_each_plan_built_once_across_calls(self, monkeypatch):
+        built = []
+
+        def counted(n, mode):
+            built.append((n, mode))
+            return make_plan(n, mode)
+
+        monkeypatch.setattr(mri, "make_plan", counted)
+        mri._plan.cache_clear()
+        spec = _spec(modes=["reference", "fp16", "e4m3"], sizes=[16, 32], blocks=[8, 32], seeds=[0])
+        first = run_experiment(spec)
+        again = run_experiment(spec)
+        mri._plan.cache_clear()
+        # per size: the reference, fp16 and e4m3 at B=8 and B=32
+        assert len(built) == len(set(built)) == 2 * 4
+        assert [r | {"runtime_ms": ""} for r in first] == [r | {"runtime_ms": ""} for r in again]
 
     def test_scalar_modes_ignore_block_axis(self):
         rows = run_experiment(_spec(modes=["reference", "fp16"], blocks=[2, 8, 32], seeds=[0]))
@@ -250,6 +268,18 @@ class TestMain:
             )
         assert code == 0
         assert list(csv.DictReader(io.StringIO(out)))[0]["ssim"] == "1"
+
+    def test_large_pixels_score_finite_nmse_without_a_warning(self):
+        # np.sum(r**2) overflowed above about 1e154 and nmse read 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, _ = _run_main(
+                ["forward", "--mode", "e4m3", "--size", "16", "--seeds", "1", "--coils", "1",
+                 "--noise", "1e153", "--k-min", "-1022"]
+            )
+        assert code == 0
+        row = list(csv.DictReader(io.StringIO(out)))[0]
+        assert 0 < float(row["nmse"]) < 1 and math.isfinite(float(row["psnr"]))
 
     def test_bad_block_list_exits_2_naming_blocks(self):
         code, _, err = _run_main(["sweep", "--block", "8x", "--size", "16", "--seeds", "1"])

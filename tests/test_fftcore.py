@@ -22,6 +22,8 @@ from mxfft import (
     fft_2d,
     make_plan,
 )
+from mxfft import fftcore, mri
+from mxfft.cli import MODE_NAMES
 from mxfft.fftcore import _bit_reversal, _mx_multiply, _twiddles
 
 import fft_oracle
@@ -114,10 +116,9 @@ class TestReferenceMode:
 
     def test_2d_shape_checks(self):
         p = make_plan(8, ModeSpec.reference())
-        with pytest.raises(UnsupportedSize):
-            fft_2d(np.zeros((8, 4), complex), p)
-        with pytest.raises(UnsupportedSize):
-            fft_2d(np.zeros((16, 16), complex), p)
+        for shape in [(8, 4), (16, 16), (8,), (2, 8, 4), (2, 16, 16), (1, 2, 8, 8)]:
+            with pytest.raises(UnsupportedSize):
+                fft_2d(np.zeros(shape, complex), p)
 
 
 class TestButterflyMx:
@@ -369,3 +370,57 @@ def test_pow2_linearity_property(fmt, block, log_n, direction, k, seed):
     assume(_in_f32_normal_range(x * 2.0**k, want))
     got = fft_2d(x * 2.0**k, plan, direction)
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def _named_plan(n, name, block):
+    return mri._plan(n, ModeSpec.from_name(name, block))
+
+
+def _assert_stack_equals_per_coil(x, plan, direction):
+    got = fft_2d(x, plan, direction)
+    assert got.shape == x.shape and got.dtype == np.complex128
+    for c in range(len(x)):
+        want = fft_2d(x[c], plan, direction)
+        assert np.array_equal(got[c].view(np.uint64), want.view(np.uint64))
+
+
+@given(
+    name=st.sampled_from(MODE_NAMES),
+    block=st.sampled_from([2, 8, 32]),
+    log_n=st.integers(1, 8),
+    coils=st.integers(1, 5),
+    direction=st.sampled_from(["forward", "inverse"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_stack_equals_per_coil_property(name, block, log_n, coils, direction, seed):
+    # a chunk's coils are extra batch columns of the stage driver, and no MX
+    # block spans two columns, so stacking changes no bit
+    n = 1 << log_n
+    coils = min(coils, 2) if n == 256 else coils
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((coils, n, n)) + 1j * rng.standard_normal((coils, n, n))
+    _assert_stack_equals_per_coil(x, _named_plan(n, name, block), direction)
+
+
+@pytest.mark.parametrize("n, coils", [(128, 3), (256, 2)])  # chunks of 2 + 1, and of 1 + 1
+@pytest.mark.parametrize("name", MODE_NAMES)
+def test_multi_chunk_stack_equals_per_coil(name, n, coils, rng):
+    assert max(1, fftcore.COIL_CHUNK_ELEMS // (n * n)) < coils
+    x = rng.standard_normal((coils, n, n)) + 1j * rng.standard_normal((coils, n, n))
+    for direction in ("forward", "inverse"):
+        _assert_stack_equals_per_coil(x, _named_plan(n, name, 32), direction)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name, big", [("reference", 1e308), ("fp16", 1e5), ("e4m3", 1e39)])
+def test_one_out_of_range_coil_raises_as_it_does_alone(name, big, rng):
+    # the bad coil sits in the second chunk of a 3-coil N=128 stack
+    x = rng.standard_normal((3, 128, 128)).astype(np.complex128)
+    x[2, 5, :] = big
+    plan = _named_plan(128, name, 32)
+    with pytest.raises(InvalidValue) as alone:
+        fft_2d(x[2], plan)
+    with pytest.raises(InvalidValue) as stacked:
+        fft_2d(x, plan)
+    assert str(stacked.value) == str(alone.value)

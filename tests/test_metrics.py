@@ -87,6 +87,33 @@ class TestNmse:
             assert psnr(r, t) == pytest.approx(expect, abs=1e-9)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 40),
+    st.integers(0, 2**32 - 1),
+    st.integers(-700, 700),
+    st.integers(-250, 250),
+)
+def test_psnr_nmse_power_of_two_scaling_is_bit_exact(n, seed, e, j):
+    # pixels near 2^e: their squares leave the float64 range for |e| > 511
+    # unless the metrics scale them first
+    rng = np.random.default_rng(seed)
+    r = rng.uniform(0.5, 1.0, (n, n)) * 2.0**e
+    t = r + rng.standard_normal((n, n)) * 2.0 ** (e - 4)
+    scale = 2.0**j
+    assert psnr(r * scale, t * scale) == psnr(r, t)
+    assert nmse(r * scale, t * scale) == nmse(r, t)
+    assert math.isfinite(psnr(r, t)) and math.isfinite(nmse(r, t))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("metric", [psnr, nmse])
+def test_overflowing_errors_are_a_typed_error(metric, rng):
+    r = rng.uniform(0.0, 1.0, (16, 16))
+    with pytest.raises(InvalidValue, match=f"^{metric.__name__}: "):
+        metric(r, 1e300 * r)
+
+
 def _ssim_oracle(r, t):
     """Literal per-window SSIM loop, independent of the convolution path."""
     ax = np.arange(SSIM_WINDOW) - (SSIM_WINDOW - 1) / 2

@@ -129,6 +129,17 @@ class TestForwardPipeline:
         with pytest.raises(InvalidValue):
             forward_pipeline(g, make_plan(8, ModeSpec.reference()), CFG)
 
+    def test_overflowing_undo_is_a_typed_error(self):
+        # the transform of the prescaled grid is in range, but undoing a
+        # prescale of 2^k with k < 0 leaves the float64 range
+        k = np.full((1, 16, 16), 1e306, dtype=complex)
+        cfg = PrescaleConfig(k_min=-1022)
+        assert compute_prescale(k, cfg).k < 0
+        for mode in ("reference", "fp16", "e4m3"):
+            plan = make_plan(16, ModeSpec.from_name(mode))
+            with pytest.raises(InvalidValue, match="^rss: "):
+                forward_pipeline(ComplexGrid(k, "kspace"), plan, cfg)
+
     def test_mx_psnr_above_floor(self):
         # frozen regression floor: observed 34.8 dB at N=128, B=32, seed 0,
         # minus a 2 dB margin; must also never drop below 25 dB
@@ -194,6 +205,17 @@ class TestRoundtripPipeline:
         g = ComplexGrid(np.ones((1, 8, 8), dtype=complex), "kspace")
         with pytest.raises(InvalidValue):
             roundtrip_pipeline(g, make_plan(8, ModeSpec.reference()), CFG)
+
+
+@pytest.mark.parametrize("mode", ["reference", "fp16", "e4m3"])
+@pytest.mark.parametrize("pipeline", [forward_pipeline, roundtrip_pipeline])
+def test_pipelines_leave_the_grid_unmodified(mode, pipeline):
+    # 3 coils at N=128: two fft_2d chunks, of 2 coils and 1
+    img, ksp = gen_phantom(128, 3, seed=5, **PHANTOM)
+    grid = ksp if pipeline is forward_pipeline else img
+    before = grid.data.copy()
+    pipeline(grid, make_plan(128, ModeSpec.from_name(mode)), CFG)
+    assert np.array_equal(grid.data.view(np.uint64), before.view(np.uint64))
 
 
 class TestPhantom:
@@ -269,16 +291,16 @@ class TestPhantom:
         with pytest.raises(ConfigError, match=f"^{field}: .*k-space leaves the float64 range"):
             gen_phantom(16, 1, 0, **kw)
 
-    def test_reference_plan_built_once_per_size(self, monkeypatch):
+    def test_plan_built_once_per_size(self, monkeypatch):
         built = []
         monkeypatch.setattr(mri, "make_plan", lambda n, mode: built.append(n) or make_plan(n, mode))
-        mri._reference_plan.cache_clear()
+        mri._plan.cache_clear()
         first = gen_phantom(16, 2, 0)
         for seed in (1, 2):
             gen_phantom(16, 2, seed)
         gen_phantom(32, 2, 0)
         assert built == [16, 32]
-        mri._reference_plan.cache_clear()
+        mri._plan.cache_clear()
         again = gen_phantom(16, 2, 0)
         for a, b in zip(first, again):
             assert np.array_equal(a.data, b.data)
