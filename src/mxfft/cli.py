@@ -12,6 +12,7 @@ import argparse
 import csv
 import dataclasses
 import math
+import numbers
 import sys
 import time
 from pathlib import Path
@@ -80,18 +81,18 @@ class ExperimentSpec:
             raise ConfigError("sizes", "need at least one size")
         for n in self.sizes:
             if not _is_pow2(n):
-                raise ConfigError("sizes", f"{n} is not a power of two >= 2")
+                raise ConfigError("sizes", f"{n!r} is not an integer power of two >= 2")
         if not self.blocks:
             raise ConfigError("blocks", "need at least one block size")
         for b in self.blocks:
             if not _is_pow2(b):
-                raise ConfigError("blocks", f"{b} is not a power of two >= 2")
+                raise ConfigError("blocks", f"{b!r} is not an integer power of two >= 2")
         if not self.seeds:
             raise ConfigError("seeds", "need at least one seed")
         if self.pipeline not in ("forward", "roundtrip"):
             raise ConfigError("pipeline", "must be 'forward' or 'roundtrip'")
-        if self.coils < 1:
-            raise ConfigError("coils", "must be >= 1")
+        if not (isinstance(self.coils, numbers.Integral) and self.coils >= 1):
+            raise ConfigError("coils", f"must be an integer >= 1, got {self.coils!r}")
 
 
 def _fmt(v: float) -> str:

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import numbers
 
 import numpy as np
 
@@ -50,7 +51,9 @@ class ModeSpec:
         if self.kind == "mx" and not isinstance(self.fmt, MinifloatFormat):
             raise ConfigError("fmt", f"an MX mode needs a MinifloatFormat, got {self.fmt!r}")
         if self.kind == "mx" and not _is_pow2(self.block_size):
-            raise ConfigError("block_size", f"{self.block_size} is not a power of two >= 2")
+            raise ConfigError(
+                "block_size", f"{self.block_size!r} is not an integer power of two >= 2"
+            )
 
     @staticmethod
     def mx(fmt: MinifloatFormat, block_size: int = 32) -> "ModeSpec":
@@ -88,8 +91,9 @@ def _bit_reversal(n: int) -> np.ndarray:
 
 
 def _is_pow2(n: int) -> bool:
-    """True for the powers of two >= 2: the valid transform, grid and MX block sizes."""
-    return n >= 2 and (n & (n - 1)) == 0
+    """True for the integer powers of two >= 2: the valid transform, grid and
+    MX block sizes.  False for any other value, a float such as 8.0 included."""
+    return isinstance(n, numbers.Integral) and n >= 2 and (n & (n - 1)) == 0
 
 
 class FftPlan:
@@ -97,16 +101,21 @@ class FftPlan:
 
     Immutable after construction; safe to share across threads.  The stage
     driver carries `dtype` planes (one complex128 plane for the reference,
-    float32 real and imaginary planes otherwise) and calls `multiply(v, w)`,
-    the mode's twiddle multiply, once per stage.  shapes[s] is stage s's view
-    shape (see _stage_shape) and twiddles[inverse][s] its twiddles, in the
-    mode's format at the v half's broadcast shape.
+    float32 real and imaginary planes otherwise).  shapes[s] is stage s's view
+    shape (see _stage_shape), twiddles[inverse][s] its twiddles, in the mode's
+    format at the v half's broadcast shape, and multiplies[inverse][s] its
+    twiddle multiply, called once per stage as multiply(v, w).  A quantized
+    stage whose twiddles are all 1, -1, i or -i (stage 0, and stage 1 where
+    the format flushes cos(pi/2) = 6.1e-17 to 0) gets the exact form of the
+    mode's multiply (see _unit_twiddles).
     """
 
     def __init__(self, n: int, mode: ModeSpec):
         if not _is_pow2(n):
-            raise UnsupportedSize(f"transform length must be a power of two >= 2, got {n}")
-        self.n = n
+            raise UnsupportedSize(
+                f"transform length must be an integer power of two >= 2, got {n!r}"
+            )
+        self.n = n = int(n)  # a numpy integer has no bit_length
         self.mode = mode
         self.stages = n.bit_length() - 1
         self.bitrev = _bit_reversal(n)
@@ -125,11 +134,16 @@ class FftPlan:
             for tables in (half_tables, np.conj(half_tables))
         )
         if mode.kind == "reference":
-            self.dtype, self.multiply = np.complex128, np.multiply
+            self.dtype, multiply = np.complex128, np.multiply
         elif mode.kind == "fp16":
-            self.dtype, self.multiply = np.float32, _fp16_multiply
+            self.dtype, multiply = np.float32, _fp16_multiply
         else:
-            self.dtype, self.multiply = np.float32, functools.partial(_mx_multiply, fmt=mode.fmt)
+            self.dtype, multiply = np.float32, functools.partial(_mx_multiply, fmt=mode.fmt)
+        self.multiplies = tuple(
+            [functools.partial(multiply, exact=True) if _unit_twiddles(w, mode) else multiply
+             for w in ws]
+            for ws in self.twiddles
+        )
 
 
 def make_plan(n: int, mode: ModeSpec) -> FftPlan:
@@ -197,10 +211,11 @@ def _fft(src, plan: FftPlan, inverse: bool) -> np.ndarray:
             plane.reshape(s.shape)[...] = (
                 _fp16_round(s[plan.bitrev]) if kind == "fp16" else s[plan.bitrev]
             )
-        for shape, w in zip(plan.shapes, plan.twiddles[inverse]):
+        stages = zip(plan.shapes, plan.twiddles[inverse], plan.multiplies[inverse])
+        for shape, w, multiply in stages:
             x = buf.reshape(buf.shape[:1] + shape + buf.shape[2:])
             y = out.reshape(x.shape)
-            t = plan.multiply(x[:, :, :, 1], w)
+            t = multiply(x[:, :, :, 1], w)
             np.add(x[:, :, :, 0], t, out=y[:, :, :, 0])
             np.subtract(x[:, :, :, 0], t, out=y[:, :, :, 1])
             buf, out = out, buf
@@ -243,6 +258,26 @@ def _twiddles(w: np.ndarray, shape: tuple, mode: ModeSpec):
     return w
 
 
+def _unit_twiddles(w, mode: ModeSpec) -> bool:
+    """True if every quantized twiddle of a stage is 1, -1, i or -i.
+
+    A product by such a twiddle only moves and negates the v operand's
+    values, so the quantized multiply needs no requantize: FP16 products
+    and sums with a zero product are FP16 values already, and in MX the
+    twiddle codes are 0 and +-2^emax with scale 2^-emax, so every product
+    block of a nonzero v block (amax in [2^emax, max_finite]) renormalizes
+    by exactly 2^emax back to v's own codes, which the requantize keeps.
+    """
+    if mode.kind == "reference":
+        return False
+    if mode.kind == "mx":
+        wr, wi, ws = w
+        re, im = wr * ws, wi * ws  # exact: codes times powers of two
+    else:
+        re, im = w
+    return bool(np.all((np.abs(re) + np.abs(im) == 1) & (re * im == 0)))
+
+
 # Twiddle multiplies: w*v of a stage's v half (C, G, K, R, J, batch) in the
 # carry dtype.  The reference multiply is np.multiply itself.
 
@@ -259,7 +294,7 @@ def _fp16_round(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _fp16_multiply(v: np.ndarray, w) -> np.ndarray:
+def _fp16_multiply(v: np.ndarray, w, exact: bool = False) -> np.ndarray:
     """FP16-control complex multiply w*v of a stage, as float32 planes.
 
     v is rounded to FP16, and every op of (wr*vr - wi*vi, wr*vi + wi*vr) runs
@@ -278,11 +313,12 @@ def _fp16_multiply(v: np.ndarray, w) -> np.ndarray:
     np.multiply(wi, vi, out=p[1])
     np.multiply(wr, vi, out=p[2])
     np.multiply(wi, vr, out=p[3])
-    _quantize_inplace(p, _FP16_FMT, saturate=False)
+    if not exact:
+        _quantize_inplace(p, _FP16_FMT, saturate=False)
     t = np.empty(v.shape, dtype=np.float32)
     np.subtract(p[0], p[1], out=t[0])
     np.add(p[2], p[3], out=t[1])
-    return _fp16_round(t)
+    return t if exact else _fp16_round(t)
 
 
 _BLOCK_AXES = (0, 2, 4)  # re/im, k, j of a stacked v view (2, G, K, R, J, batch)
@@ -324,13 +360,14 @@ def _mx_encode(v: np.ndarray, fmt: MinifloatFormat):
     return codes.astype(ptype, copy=False), scales
 
 
-def _mx_multiply(v: np.ndarray, w, fmt: MinifloatFormat) -> np.ndarray:
+def _mx_multiply(v: np.ndarray, w, fmt: MinifloatFormat, exact: bool = False) -> np.ndarray:
     """Blockwise MX complex multiply w*v of a stage, decoded to float32.
 
     v is the stacked (2, G, K, R, J, batch) view of the stage's v operands;
     w holds the prequantized twiddle blocks (codes_r, codes_i, scales) in
     broadcast shapes.  Implements the mantissa-space product with per-block
-    renormalization and requantization.
+    renormalization and requantization; exact=True, for a stage of
+    _unit_twiddles, decodes the products directly.
     """
     wr, wi, ws = w
     y, sv = _mx_encode(v, fmt)
@@ -340,15 +377,18 @@ def _mx_multiply(v: np.ndarray, w, fmt: MinifloatFormat) -> np.ndarray:
     p[0] -= np.multiply(wi, y[1], out=tmp)
     np.multiply(wr, y[1], out=p[1])
     p[1] += np.multiply(wi, y[0], out=tmp)
-    # renormalize blocks whose products exceed the finite range by the least
-    # power of two 2^k >= 1 with amax <= max_finite * 2^k: 2^k is t or 2t for
-    # t = 2^(floor(log2(amax)) - emax), and 1 in blocks already in range
-    amax = np.abs(p, out=y).max(axis=_BLOCK_AXES, keepdims=True).astype(np.float64)
-    t = _binade(amax) * 2.0**-fmt.emax
-    shift = np.maximum(np.where(amax > fmt.max_finite * t, 2 * t, t), 1.0)
-    p *= (1.0 / shift).astype(p.dtype)
-    s_out = ws * sv * shift  # powers of two; products exact
-    _quantize_inplace(p, fmt, saturate=False)  # now |p| <= max_finite
+    if exact:
+        s_out = ws * sv  # p / shift would be v's codes: skip the requantize
+    else:
+        # renormalize blocks whose products exceed the finite range by the
+        # least power of two 2^k >= 1 with amax <= max_finite * 2^k: 2^k is t
+        # or 2t for t = 2^(floor(log2(amax)) - emax), and 1 in blocks in range
+        amax = np.abs(p, out=y).max(axis=_BLOCK_AXES, keepdims=True).astype(np.float64)
+        t = _binade(amax) * 2.0**-fmt.emax
+        shift = np.maximum(np.where(amax > fmt.max_finite * t, 2 * t, t), 1.0)
+        p *= (1.0 / shift).astype(p.dtype)
+        s_out = ws * sv * shift  # powers of two; products exact
+        _quantize_inplace(p, fmt, saturate=False)  # now |p| <= max_finite
     # decode: one rounding of the exact product codes * scale to float32
     if _within(s_out, 2.0 ** (_F32.minexp - _F32.nmant), 2.0 ** (_F32.maxexp - 1)):
         s_out = s_out.astype(np.float32)  # exact: a float32 power of two
@@ -385,7 +425,8 @@ def fft_1d(x, plan: FftPlan, direction: str = "forward") -> np.ndarray:
 # Coils per stage-driver call of fft_2d: max(1, COIL_CHUNK_ELEMS // n**2).
 # Wider calls spread the driver's fixed per-stage cost over more columns, but
 # past about 2**15 complex values per call the stage temporaries outgrow a
-# 2 MiB L2 cache and every column gets slower.
+# 2 MiB L2 cache and every column gets slower.  The SSIM window passes
+# (metrics._window_means) chunk their image stacks by the same rule.
 COIL_CHUNK_ELEMS = 2**15
 
 

@@ -6,9 +6,9 @@ import dataclasses
 import math
 
 import numpy as np
-from scipy.ndimage import correlate1d
 
 from .errors import DegenerateReference, InvalidValue, ShapeError, WindowTooLarge
+from .fftcore import COIL_CHUNK_ELEMS
 
 SSIM_WINDOW = 11
 SSIM_SIGMA = 1.5
@@ -59,12 +59,16 @@ def _scaled_errors(metric: str, ref, test):
 
 
 def psnr(ref, test) -> float:
-    """20*log10(peak/rmse) with peak = max of the reference image."""
+    """20*log10(peak/rmse) with peak = max of the reference image, which must
+    be > 0 (DegenerateReference otherwise)."""
     r, err = _scaled_errors("psnr", ref, test)
+    peak = float(r.max())
+    if peak <= 0.0:
+        raise DegenerateReference("psnr: the reference peak max(ref) must be > 0")
     mse = err / r.size
     if mse == 0.0:
         return math.inf
-    return 20.0 * math.log10(float(r.max()) / math.sqrt(mse))
+    return 20.0 * math.log10(peak / math.sqrt(mse))
 
 
 def nmse(ref, test) -> float:
@@ -80,13 +84,43 @@ def _gaussian_window(size: int, sigma: float) -> np.ndarray:
     return g / g.sum()
 
 
-def _window_means(stack: np.ndarray) -> np.ndarray:
+def _correlate_valid(x: np.ndarray, w: np.ndarray, axis: int) -> np.ndarray:
+    """Correlation of x with the odd, symmetric window w along `axis`, at
+    every position where the whole window fits (length len - 2h, h = len(w)//2).
+
+    Sums in the order of SciPy's ndimage.correlate1d for a symmetric window,
+    so the results equal its output there bit for bit: the centre tap
+    x[c]*w[h] first, then (x[c-j] + x[c+j]) * w[h-j] for j = h .. 1, outside in.
+    """
+    h = len(w) // 2
+    m = x.shape[axis] - 2 * h
+    lead = (slice(None),) * axis
+
+    def tap(i):
+        return x[lead + (slice(i, i + m),)]
+
+    out = tap(h) * w[h]
+    pair = np.empty_like(out)
+    for j in range(h, 0, -1):
+        np.add(tap(h - j), tap(h + j), out=pair)
+        pair *= w[h - j]
+        out += pair
+    return out
+
+
+def _window_means(stack: np.ndarray) -> list:
     """Gaussian-weighted means over every full window of each (n, m) image of
-    a (k, n, m) stack: one 1-D pass per image axis, cropped to the valid region."""
+    a (k, n, m) stack, one array per image: a valid-region pass along each
+    image axis.  The images run in chunks of max(1, COIL_CHUNK_ELEMS // (n*m)),
+    the cache rule fftcore.fft_2d uses for coils: one image per call was 4x
+    slower at n=16, the whole stack 30% slower at n=256 and 2**16 values per
+    call 14% slower at n=128."""
     g = _gaussian_window(SSIM_WINDOW, SSIM_SIGMA)
-    h = SSIM_WINDOW // 2
-    stack = correlate1d(stack, g, axis=1)[:, h:-h]
-    return correlate1d(stack, g, axis=2)[:, :, h:-h]
+    chunk = max(1, COIL_CHUNK_ELEMS // (stack.shape[1] * stack.shape[2]))
+    means = []
+    for c0 in range(0, len(stack), chunk):
+        means.extend(_correlate_valid(_correlate_valid(stack[c0 : c0 + chunk], g, 1), g, 2))
+    return means
 
 
 def ssim(ref, test) -> float:

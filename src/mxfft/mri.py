@@ -11,10 +11,10 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import numbers
 import struct
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
 
 from .errors import (
     BadMagic,
@@ -27,6 +27,7 @@ from .errors import (
     TruncatedFile,
 )
 from .fftcore import FftPlan, ModeSpec, _is_pow2, fft_2d, make_plan
+from .metrics import _correlate_valid
 from .prescale import PrescaleConfig, apply_prescale, compute_prescale, undo_prescale
 
 KSPACE = "kspace"
@@ -168,9 +169,28 @@ def _phantom_magnitude(n, kind, rng, tail):
     else:
         raise ConfigError("kind", f"unknown phantom kind {kind!r}")
     if tail > 0:
-        noise = gaussian_filter(rng.standard_normal((n, n)), sigma=1.0)
+        noise = _blur(rng.standard_normal((n, n)))
         mag = mag + tail * np.abs(noise)
     return mag * support
+
+
+# The tail texture's Gaussian blur, sigma 1, truncated at int(4*sigma + 0.5)
+# samples.  The kernel is SciPy's ndimage expression, so _blur(x) equals
+# ndimage.gaussian_filter(x, 1.0) bit for bit (tests/test_filters.py).
+_BLUR_SIGMA = 1.0
+_BLUR_RADIUS = int(4.0 * _BLUR_SIGMA + 0.5)
+_BLUR_KERNEL = np.exp(-0.5 / _BLUR_SIGMA**2 * np.arange(-_BLUR_RADIUS, _BLUR_RADIUS + 1) ** 2)
+_BLUR_KERNEL /= _BLUR_KERNEL.sum()
+
+
+def _blur(x: np.ndarray) -> np.ndarray:
+    """The Gaussian blur of a 2-D array, axis 0 then axis 1.  Borders
+    reflect about the edge sample, repeating it (numpy's "symmetric" pad,
+    ndimage's "reflect"), also for sides shorter than the radius.  Both axes
+    are padded at once: a padded column filters to a copy of the filtered
+    column it reflects, so the axis-1 pass sees the same borders."""
+    x = np.pad(x, _BLUR_RADIUS, mode="symmetric")
+    return _correlate_valid(_correlate_valid(x, _BLUR_KERNEL, 0), _BLUR_KERNEL, 1)
 
 
 def _check_phantom(img, field):
@@ -215,11 +235,11 @@ def gen_phantom(
     raises ConfigError naming it.
     """
     if not _is_pow2(n):
-        raise ConfigError("n", "must be a power of two >= 2")
-    if coils < 1:
-        raise ConfigError("coils", "must be >= 1")
-    if seed < 0:
-        raise ConfigError("seed", "must be >= 0")
+        raise ConfigError("n", f"must be an integer power of two >= 2, got {n!r}")
+    if not (isinstance(coils, numbers.Integral) and coils >= 1):
+        raise ConfigError("coils", f"must be an integer >= 1, got {coils!r}")
+    if not (isinstance(seed, numbers.Integral) and seed >= 0):
+        raise ConfigError("seed", f"must be an integer >= 0, got {seed!r}")
     for field, value in (("tail", tail), ("noise", noise)):
         if not 0 <= value < math.inf:
             raise ConfigError(field, f"must be finite and >= 0, got {value}")

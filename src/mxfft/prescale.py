@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 import sys
 
 import numpy as np
@@ -37,8 +38,11 @@ class PrescaleConfig:
         if not 0 < self.tau_min < math.inf:
             raise ConfigError("tau_min", "must be finite and > 0")
         for field in ("k_min", "k_max"):
-            if not -K_LIMIT <= getattr(self, field) <= K_LIMIT:
-                raise ConfigError(field, f"must be in [{-K_LIMIT}, {K_LIMIT}]")
+            k = getattr(self, field)
+            if not (isinstance(k, numbers.Integral) and -K_LIMIT <= k <= K_LIMIT):
+                raise ConfigError(
+                    field, f"must be an integer in [{-K_LIMIT}, {K_LIMIT}], got {k!r}"
+                )
         if self.k_min > self.k_max:
             raise ConfigError("k_min", "must be <= k_max")
 
@@ -68,6 +72,8 @@ def _log2(ratio: float) -> float:
 def compute_prescale(x, cfg: PrescaleConfig) -> PrescaleResult:
     """Choose the power-of-two exponent k for the array x."""
     x = np.asarray(x)
+    if x.size == 0:
+        raise InvalidValue("empty input to prescale")
     if not np.all(np.isfinite(x)):
         raise InvalidValue("non-finite input to prescale")
     m = np.abs(x)

@@ -68,6 +68,15 @@ class TestSpecValidation:
         with pytest.raises(ConfigError):
             _spec(**kw).validate()
 
+    @pytest.mark.parametrize(
+        "kw, field",
+        [(dict(sizes=[16.0]), "sizes"), (dict(blocks=[8.0]), "blocks"), (dict(coils=1.0), "coils")],
+    )
+    def test_run_experiment_rejects_float_counts_naming_the_field(self, kw, field):
+        with pytest.raises(ConfigError, match=f"^{field}: ") as exc:
+            run_experiment(_spec(**kw))
+        assert exc.value.field == field
+
     @pytest.mark.parametrize("block", [6, 12])
     def test_rejects_non_power_of_two_block(self, block):
         with pytest.raises(ConfigError, match="blocks"):

@@ -326,6 +326,7 @@ def test_mode_from_name():
         (lambda: ModeSpec("weird"), "kind"),
         (lambda: make_plan(16, ModeSpec("mx")), "fmt"),
         (lambda: ModeSpec.mx("e4m3"), "fmt"),
+        (lambda: ModeSpec.mx(E4M3, 32.0), "block_size"),
         (lambda: fft_1d(np.ones(4), make_plan(4, ModeSpec.reference()), "backward"), "direction"),
         (lambda: fft_2d(np.ones((4, 4)), make_plan(4, ModeSpec.mx(E4M3)), "backward"), "direction"),
     ],
@@ -333,6 +334,16 @@ def test_mode_from_name():
 def test_bad_modes_and_directions_name_the_field(build, field):
     with pytest.raises(ConfigError, match=f"^{field}: "):
         build()
+
+
+def test_float_size_is_a_typed_error():
+    with pytest.raises(UnsupportedSize, match="integer power of two"):
+        make_plan(8.0, ModeSpec.reference())
+
+
+def test_numpy_integer_sizes_are_accepted():
+    plan = make_plan(np.int64(8), ModeSpec.mx(E4M3, np.int64(8)))
+    assert plan.n == 8 and plan.stages == 3
 
 
 @functools.lru_cache(maxsize=None)
@@ -424,3 +435,67 @@ def test_one_out_of_range_coil_raises_as_it_does_alone(name, big, rng):
     with pytest.raises(InvalidValue) as stacked:
         fft_2d(x, plan)
     assert str(stacked.value) == str(alone.value)
+
+
+def _exact_stages(plan):
+    """Per direction, the stages that run the exact form of the multiply."""
+    return [[s for s, m in enumerate(ms) if getattr(m, "keywords", {}).get("exact")]
+            for ms in plan.multiplies]
+
+
+@pytest.mark.parametrize("block", [2, 32])
+def test_exact_twiddle_stages(block):
+    # stage 0 multiplies by 1; stage 1 by 1 and -i (or i), where cos(pi/2) =
+    # 6.1e-17 flushes to 0 in every format but the 23-bit one
+    for name in MODE_NAMES:
+        want = [] if name == "reference" else [0, 1]
+        assert _exact_stages(make_plan(64, ModeSpec.from_name(name, block))) == [want, want]
+    assert _exact_stages(make_plan(64, ModeSpec.mx(WIDE, block))) == [[0], [0]]
+    assert _exact_stages(make_plan(2, ModeSpec.fp16())) == [[0], [0]]
+
+
+def _stage_v(rng, plan, s, e):
+    """Random float32 v planes of stage s, (2, G, K, R, J, batch=3), at 2^e,
+    with a fifth of the values +0 or -0."""
+    g, k, _, r, j = plan.shapes[s]
+    v = rng.standard_normal((2, g, k, r, j, 3)) * 2.0**e
+    v *= 4.0 ** rng.integers(-3, 4, (1, g, 1, 1, 1, 3))  # blocks spread over 12 binades
+    zero = rng.random(v.shape) < 0.2
+    v[zero] = np.where(rng.random(int(zero.sum())) < 0.5, 0.0, -0.0)
+    with np.errstate(over="ignore"):
+        return v.astype(np.float32)
+
+
+def _outcome(multiply, v, w, **kw):
+    try:
+        return multiply(np.array(v), w, **kw).view(np.uint32)
+    except InvalidValue as exc:
+        return str(exc)
+
+
+@given(
+    fmt=st.sampled_from([E4M3, E5M2, E2M3, E3M2, WIDE, None]),  # None: the FP16 control
+    block=st.sampled_from([2, 8, 32, 64]),
+    log_n=st.integers(1, 7),
+    stage=st.integers(0, 1),
+    inverse=st.integers(0, 1),
+    e=st.integers(-150, 130),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=200, deadline=None)
+def test_exact_multiply_equals_the_requantizing_one(fmt, block, log_n, stage, inverse, e, seed):
+    # on a stage of unit twiddles, skipping the requantize changes no bit,
+    # the sign of zero included, and raises where the full multiply raises
+    mode = ModeSpec.fp16() if fmt is None else ModeSpec.mx(fmt, block)
+    plan = make_plan(1 << log_n, mode)
+    assume(stage in _exact_stages(plan)[inverse])
+    w = plan.twiddles[inverse][stage]
+    v = _stage_v(np.random.default_rng(seed), plan, stage, e)
+    kw = {} if fmt is None else {"fmt": fmt}
+    multiply = fftcore._fp16_multiply if fmt is None else _mx_multiply
+    full = _outcome(multiply, v, w, **kw)
+    exact = _outcome(multiply, v, w, exact=True, **kw)
+    if isinstance(full, str):
+        assert exact == full
+    else:
+        assert np.array_equal(exact, full)

@@ -54,6 +54,11 @@ class TestPsnr:
         with pytest.raises(DegenerateReference):
             psnr(np.zeros((8, 8)), np.ones((8, 8)))
 
+    @pytest.mark.parametrize("test", [[[0.0, 0.0]], [[0.0, -1.0]]])
+    def test_non_positive_peak_rejected(self, test):
+        with pytest.raises(DegenerateReference, match="^psnr: .*peak"):
+            psnr([[0.0, -1.0]], test)
+
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             psnr(np.ones((8, 8)), np.ones((8, 9)))

@@ -262,6 +262,9 @@ class TestPhantom:
             (dict(noise=-0.1), "noise"),
             (dict(noise=math.inf), "noise"),
             (dict(seed=-1), "seed"),
+            (dict(seed=1.5), "seed"),
+            (dict(n=16.0), "n"),
+            (dict(coils=2.0), "coils"),
         ],
     )
     def test_rejects_bad_texture_and_seed_naming_the_field(self, kw, field):

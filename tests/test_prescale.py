@@ -46,6 +46,8 @@ class TestConfig:
             (dict(k_min=-1023), "k_min"),
             (dict(k_min=-1100, k_max=-1100), "k_min"),
             (dict(k_max=1023), "k_max"),
+            (dict(k_min=-1.5, k_max=-1.5), "k_min"),
+            (dict(k_max=2.0), "k_max"),
         ],
     )
     def test_rejects_unbounded_fields_naming_them(self, kw, field):
@@ -106,6 +108,10 @@ class TestComputePrescale:
     def test_nonfinite_rejected(self):
         with pytest.raises(InvalidValue):
             compute_prescale(np.array([np.inf]), CFG)
+
+    def test_empty_rejected(self):
+        with pytest.raises(InvalidValue, match="empty"):
+            compute_prescale([], CFG)
 
     @pytest.mark.parametrize(
         "x, cfg, k",
