@@ -19,8 +19,7 @@ from pathlib import Path
 
 from . import metrics
 from .errors import ConfigError, MxfftError
-from .fftcore import ModeSpec, _is_pow2
-from .fftcore import make_plan  # noqa: F401  (perfbench traces cli.make_plan)
+from .fftcore import ModeSpec, _is_pow2, make_plan
 from .minifloat import FORMATS
 from .mri import (
     IMAGE,
@@ -28,7 +27,6 @@ from .mri import (
     PHANTOM_NOISE,
     PHANTOM_TAIL,
     _pipeline,
-    _plan,
     gen_phantom,
     read_grid,
     write_grid,
@@ -148,16 +146,16 @@ def run_experiment(spec: ExperimentSpec):
     spec.validate()
     rows = []
     for size in sorted(spec.sizes):
-        ref_plan = _plan(size, ModeSpec.reference())
+        ref_plan = make_plan(size, ModeSpec.reference())
         inputs = []  # (dataset_id, seed, grid, prescale k, reference RSS)
         for dataset_id, seed, grid in _inputs(spec, size):
             k = compute_prescale(grid.data, spec.prescale).k
             inputs.append((dataset_id, seed, grid, k, _pipeline(grid, ref_plan, k)))
         for mode in sorted(spec.modes, key=MODE_NAMES.index):
-            blocks = sorted(spec.blocks) if mode not in ("reference", "fp16") else [None]
-            for block in blocks:
-                plan = _plan(size, ModeSpec.from_name(mode, block or 32))
-                cell = (size, mode, block, spec.pipeline)
+            # one cell per distinct ModeSpec: the modes without blocks take one
+            for ms in dict.fromkeys(ModeSpec.from_name(mode, b) for b in sorted(spec.blocks)):
+                plan = make_plan(size, ms)
+                cell = (size, mode, ms.block_size if ms.kind == "mx" else None, spec.pipeline)
                 results = []  # (metric values, ms) per input
                 for dataset_id, seed, grid, k, ref_out in inputs:
                     t0 = time.perf_counter()
@@ -180,9 +178,13 @@ def run_experiment(spec: ExperimentSpec):
 
 def write_csv(rows, path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
-        writer.writeheader()
-        writer.writerows(rows)
+        _write_rows(fh, rows)
+
+
+def _write_rows(fh, rows) -> None:
+    writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
+    writer.writeheader()
+    writer.writerows(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -203,13 +205,17 @@ def _prescale_of(args) -> PrescaleConfig:
 
 
 def _add_phantom_flags(p, seed_flag, **seed_kw):
-    """The phantom flags, with the subcommand's seed flag in its help position."""
-    p.add_argument("--coils", type=int, default=4)
+    """The phantom flags, with ExperimentSpec's defaults and the subcommand's
+    seed flag in its help position."""
+    default = {f.name: f.default for f in dataclasses.fields(ExperimentSpec)}
+    p.add_argument("--coils", type=int, default=default["coils"])
     p.add_argument(seed_flag, type=int, **seed_kw)
-    p.add_argument("--kind", default="blobs", choices=["blobs", "bars"])
-    p.add_argument("--tail", type=float, default=PHANTOM_TAIL, help="low-magnitude texture weight")
+    p.add_argument("--kind", default=default["kind"], choices=["blobs", "bars"])
     p.add_argument(
-        "--noise", type=float, default=PHANTOM_NOISE, help="complex noise floor amplitude"
+        "--tail", type=float, default=default["tail"], help="low-magnitude texture weight"
+    )
+    p.add_argument(
+        "--noise", type=float, default=default["noise"], help="complex noise floor amplitude"
     )
 
 
@@ -271,11 +277,8 @@ def _spec_of(args, modes, blocks, pipeline) -> ExperimentSpec:
 
 
 def _emit(rows, out):
-    if out:
-        return
-    writer = csv.DictWriter(sys.stdout, fieldnames=CSV_COLUMNS)
-    writer.writeheader()
-    writer.writerows(rows)
+    if not out:
+        _write_rows(sys.stdout, rows)
 
 
 def main(argv=None) -> int:

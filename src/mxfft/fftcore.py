@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import math
 import numbers
 
 import numpy as np
@@ -33,7 +34,7 @@ import numpy as np
 from . import mxblock
 from .errors import ConfigError, InvalidValue, ShapeError, UnsupportedSize
 from .minifloat import FP16 as _FP16_FMT
-from .minifloat import MinifloatFormat, _binade, _quantize_inplace, get_format
+from .minifloat import MinifloatFormat, _quantize_inplace, get_format
 from .minifloat import quantize_array  # noqa: F401  (perfbench traces fftcore.quantize_array)
 
 
@@ -75,10 +76,6 @@ class ModeSpec:
             return ModeSpec.fp16()
         return ModeSpec.mx(get_format(name), block_size)
 
-    @property
-    def label(self) -> str:
-        return self.kind if self.kind != "mx" else self.fmt.name
-
 
 def _bit_reversal(n: int) -> np.ndarray:
     """The bit-reversal permutation of range(n), n a power of two."""
@@ -115,6 +112,8 @@ class FftPlan:
             raise UnsupportedSize(
                 f"transform length must be an integer power of two >= 2, got {n!r}"
             )
+        if not isinstance(mode, ModeSpec):
+            raise ConfigError("mode", f"must be a ModeSpec, got {mode!r}")
         self.n = n = int(n)  # a numpy integer has no bit_length
         self.mode = mode
         self.stages = n.bit_length() - 1
@@ -124,14 +123,14 @@ class FftPlan:
             half = 1 << s
             step = n // (2 * half)
             w = np.exp(-2j * np.pi * np.arange(half) * step / n)
-            half_tables.append(np.tile(w, n // (2 * half)))  # butterfly order, len n//2
+            half_tables.append(w)  # the twiddles of one half-group, len half
 
         # only MX blocks constrain the view; the others take one value per block
         cpb = min(mode.block_size // 2, n // 2) if mode.kind == "mx" else 1
         self.shapes = [_stage_shape(n, s, cpb) for s in range(self.stages)]
         self.twiddles = tuple(
             [_twiddles(w, shape, mode) for w, shape in zip(tables, self.shapes)]
-            for tables in (half_tables, np.conj(half_tables))
+            for tables in (half_tables, [np.conj(w) for w in half_tables])
         )
         if mode.kind == "reference":
             self.dtype, multiply = np.complex128, np.multiply
@@ -147,7 +146,13 @@ class FftPlan:
 
 
 def make_plan(n: int, mode: ModeSpec) -> FftPlan:
-    return FftPlan(n, mode)
+    """The plan of size n and mode, built once per process; plans are immutable."""
+    if _is_pow2(n) and isinstance(mode, ModeSpec):  # neither 8.0 (== 8) nor unhashables
+        return _cached_plan(int(n), mode)
+    return FftPlan(n, mode)  # raises its typed error
+
+
+_cached_plan = functools.lru_cache(maxsize=64)(FftPlan)
 
 
 # ---------------------------------------------------------------------------
@@ -242,14 +247,14 @@ def _join(planes: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def _twiddles(w: np.ndarray, shape: tuple, mode: ModeSpec):
-    """One stage's twiddle table (butterfly order) in the mode's format.
+    """One stage's twiddle table in the mode's format.
 
-    Every block row (g, k) of the v half holds the same twiddles, so only the
-    first is kept, at the broadcast shape (1, 1, R, J, 1); MX codes are in
-    the product dtype, with scales (1, 1, R, 1, 1).
+    w holds the R * J twiddles of one half-group, which every block row (g, k)
+    of the v half shares, at the broadcast shape (1, 1, R, J, 1); MX codes
+    are in the product dtype, with scales (1, 1, R, 1, 1).
     """
     _, _, _, r, j = shape
-    w = w[: r * j].reshape(1, 1, r, j, 1)
+    w = w.reshape(1, 1, r, j, 1)
     if mode.kind == "mx":
         codes, scales = _mx_encode(np.stack((w.real, w.imag)), mode.fmt)
         return codes[0], codes[1], scales[0]
@@ -382,9 +387,9 @@ def _mx_multiply(v: np.ndarray, w, fmt: MinifloatFormat, exact: bool = False) ->
     else:
         # renormalize blocks whose products exceed the finite range by the
         # least power of two 2^k >= 1 with amax <= max_finite * 2^k: 2^k is t
-        # or 2t for t = 2^(floor(log2(amax)) - emax), and 1 in blocks in range
+        # or 2t for the products' shared scale t (mxblock), and 1 in range
         amax = np.abs(p, out=y).max(axis=_BLOCK_AXES, keepdims=True).astype(np.float64)
-        t = _binade(amax) * 2.0**-fmt.emax
+        t = mxblock.block_scales(amax, fmt)
         shift = np.maximum(np.where(amax > fmt.max_finite * t, 2 * t, t), 1.0)
         p *= (1.0 / shift).astype(p.dtype)
         s_out = ws * sv * shift  # powers of two; products exact
@@ -422,12 +427,18 @@ def fft_1d(x, plan: FftPlan, direction: str = "forward") -> np.ndarray:
     return _join(_fft(_planes(x, plan), plan, inverse)[:, :, 0], out)
 
 
-# Coils per stage-driver call of fft_2d: max(1, COIL_CHUNK_ELEMS // n**2).
-# Wider calls spread the driver's fixed per-stage cost over more columns, but
-# past about 2**15 complex values per call the stage temporaries outgrow a
-# 2 MiB L2 cache and every column gets slower.  The SSIM window passes
-# (metrics._window_means) chunk their image stacks by the same rule.
+# Values per call of a stack's chunks (see _chunks).  Wider calls spread the
+# stage driver's fixed per-stage cost over more columns, but past about 2**15
+# complex values per call the stage temporaries outgrow a 2 MiB L2 cache and
+# every column gets slower.  fft_2d chunks its coils and the SSIM window
+# passes (metrics._window_means) their image stacks by this one rule.
 COIL_CHUNK_ELEMS = 2**15
+
+
+def _chunks(stack: np.ndarray):
+    """The stack in slices of max(1, COIL_CHUNK_ELEMS // values per item) items."""
+    step = max(1, COIL_CHUNK_ELEMS // math.prod(stack.shape[1:]))
+    return (stack[i : i + step] for i in range(0, len(stack), step))
 
 
 def fft_2d(x, plan: FftPlan, direction: str = "forward") -> np.ndarray:
@@ -447,9 +458,7 @@ def fft_2d(x, plan: FftPlan, direction: str = "forward") -> np.ndarray:
     inverse = _is_inverse(direction)
     coils = x.reshape(-1, n, n)
     out = np.empty(coils.shape, dtype=np.complex128)
-    chunk = max(1, COIL_CHUNK_ELEMS // (n * n))
-    for c0 in range(0, len(coils), chunk):
-        xs = coils[c0 : c0 + chunk]
+    for xs, dst in zip(_chunks(coils), _chunks(out)):
         c = len(xs)
         # the driver transforms along axis 0, so the row pass reads each coil
         # transposed, (l, coil, row), and returns planes (k, coil * n + row);
@@ -457,5 +466,5 @@ def fft_2d(x, plan: FftPlan, direction: str = "forward") -> np.ndarray:
         # (k', coil * n + k), which is written to out[coil, k', k]
         rows = _fft(_planes(xs.transpose(2, 0, 1), plan), plan, inverse)
         cols = _fft(rows.reshape(-1, n, c, n).transpose(0, 3, 2, 1), plan, inverse)
-        _join(cols.reshape(-1, n, c, n).transpose(0, 2, 1, 3), out[c0 : c0 + c])
+        _join(cols.reshape(-1, n, c, n).transpose(0, 2, 1, 3), dst)
     return out.reshape(x.shape)

@@ -8,7 +8,7 @@ import math
 import numpy as np
 
 from .errors import DegenerateReference, InvalidValue, ShapeError, WindowTooLarge
-from .fftcore import COIL_CHUNK_ELEMS
+from .fftcore import _chunks
 
 SSIM_WINDOW = 11
 SSIM_SIGMA = 1.5
@@ -32,6 +32,9 @@ def _check_pair(ref, test):
     t = _pixels(test)
     if r.shape != t.shape:
         raise ShapeError(f"shape mismatch: {r.shape} vs {t.shape}")
+    for name, a in (("reference", r), ("test", t)):
+        if not np.isfinite(a).all():
+            raise InvalidValue(f"the {name} image has a non-finite pixel")
     return r, t
 
 
@@ -111,15 +114,13 @@ def _correlate_valid(x: np.ndarray, w: np.ndarray, axis: int) -> np.ndarray:
 def _window_means(stack: np.ndarray) -> list:
     """Gaussian-weighted means over every full window of each (n, m) image of
     a (k, n, m) stack, one array per image: a valid-region pass along each
-    image axis.  The images run in chunks of max(1, COIL_CHUNK_ELEMS // (n*m)),
-    the cache rule fftcore.fft_2d uses for coils: one image per call was 4x
-    slower at n=16, the whole stack 30% slower at n=256 and 2**16 values per
-    call 14% slower at n=128."""
+    image axis.  The images run in fftcore._chunks, the cache rule fft_2d
+    uses for coils: one image per call was 4x slower at n=16, the whole stack
+    30% slower at n=256 and 2**16 values per call 14% slower at n=128."""
     g = _gaussian_window(SSIM_WINDOW, SSIM_SIGMA)
-    chunk = max(1, COIL_CHUNK_ELEMS // (stack.shape[1] * stack.shape[2]))
     means = []
-    for c0 in range(0, len(stack), chunk):
-        means.extend(_correlate_valid(_correlate_valid(stack[c0 : c0 + chunk], g, 1), g, 2))
+    for chunk in _chunks(stack):
+        means.extend(_correlate_valid(_correlate_valid(chunk, g, 1), g, 2))
     return means
 
 

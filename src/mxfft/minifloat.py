@@ -5,7 +5,7 @@ element formats.  Quantization is round-to-nearest, ties-to-even, with
 saturation to the largest finite magnitude and gradual underflow through
 subnormals.  There is one quantizer, `_quantize_inplace`, exact in float32 or
 float64; `quantize_array` is its checked FP64 form.  Powers of two are read
-from the exponent bits by `_binade`, here and in the MX kernel.
+from the exponent bits by `_binade`, here and in `mxblock.block_scales`.
 """
 
 from __future__ import annotations

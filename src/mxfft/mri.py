@@ -9,7 +9,6 @@ the whole coil stack before the transforms and undone exactly afterwards.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import math
 import numbers
 import struct
@@ -47,7 +46,10 @@ class ComplexGrid:
     domain: str
 
     def __post_init__(self):
-        d = np.asarray(self.data, dtype=np.complex128)
+        try:
+            d = np.asarray(self.data, dtype=np.complex128)
+        except (TypeError, ValueError) as exc:
+            raise InvalidValue(f"grid data must be an array of numbers: {exc}") from None
         if d.ndim != 3 or d.shape[1] != d.shape[2]:
             raise ShapeError("grid data must be (coils, n, n)")
         if d.shape[0] < 1:
@@ -198,18 +200,12 @@ def _check_phantom(img, field):
         raise ConfigError(field, "too large: the phantom image leaves the float64 range")
 
 
-@functools.lru_cache(maxsize=64)
-def _plan(n: int, mode: ModeSpec) -> FftPlan:
-    """The plan of size n and mode, built once per process; plans are immutable."""
-    return make_plan(n, mode)
-
-
 def _kspace(img: np.ndarray):
     """The k-space of (coils, n, n) image coils, FP64 inverse 2-D FFTs with
     1/N^2, or None if the transforms leave the float64 range."""
     n = img.shape[1]
     try:
-        ksp = fft_2d(img, _plan(n, ModeSpec.reference()), "inverse")
+        ksp = fft_2d(img, make_plan(n, ModeSpec.reference()), "inverse")
     except InvalidValue:
         return None
     ksp *= 1.0 / (n * n)
@@ -241,8 +237,8 @@ def gen_phantom(
     if not (isinstance(seed, numbers.Integral) and seed >= 0):
         raise ConfigError("seed", f"must be an integer >= 0, got {seed!r}")
     for field, value in (("tail", tail), ("noise", noise)):
-        if not 0 <= value < math.inf:
-            raise ConfigError(field, f"must be finite and >= 0, got {value}")
+        if not (isinstance(value, numbers.Real) and 0 <= value < math.inf):
+            raise ConfigError(field, f"must be finite and >= 0, got {value!r}")
     rng = np.random.default_rng(seed)
     with np.errstate(over="ignore", invalid="ignore"):
         mag = _phantom_magnitude(n, kind, rng, tail)

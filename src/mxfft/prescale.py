@@ -31,12 +31,12 @@ class PrescaleConfig:
     k_max: int = 40
 
     def __post_init__(self):
-        if not 0 < self.target < math.inf:
-            raise ConfigError("target", "must be finite and > 0")
-        if not 0 < self.tau < 100:
-            raise ConfigError("tau", "must be in (0, 100)")
-        if not 0 < self.tau_min < math.inf:
-            raise ConfigError("tau_min", "must be finite and > 0")
+        if not (isinstance(self.target, numbers.Real) and 0 < self.target < math.inf):
+            raise ConfigError("target", f"must be finite and > 0, got {self.target!r}")
+        if not (isinstance(self.tau, numbers.Real) and 0 < self.tau < 100):
+            raise ConfigError("tau", f"must be in (0, 100), got {self.tau!r}")
+        if not (isinstance(self.tau_min, numbers.Real) and 0 < self.tau_min < math.inf):
+            raise ConfigError("tau_min", f"must be finite and > 0, got {self.tau_min!r}")
         for field in ("k_min", "k_max"):
             k = getattr(self, field)
             if not (isinstance(k, numbers.Integral) and -K_LIMIT <= k <= K_LIMIT):
@@ -72,6 +72,8 @@ def _log2(ratio: float) -> float:
 def compute_prescale(x, cfg: PrescaleConfig) -> PrescaleResult:
     """Choose the power-of-two exponent k for the array x."""
     x = np.asarray(x)
+    if x.dtype.kind not in "iufc":  # integer, float or complex
+        raise InvalidValue(f"prescale input must be numeric, got dtype {x.dtype}")
     if x.size == 0:
         raise InvalidValue("empty input to prescale")
     if not np.all(np.isfinite(x)):

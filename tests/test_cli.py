@@ -9,7 +9,16 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from mxfft import ConfigError, PrescaleConfig, cli, compute_prescale, gen_phantom, make_plan, mri
+from mxfft import (
+    ConfigError,
+    FftPlan,
+    PrescaleConfig,
+    cli,
+    compute_prescale,
+    fftcore,
+    gen_phantom,
+    mri,
+)
 from mxfft.cli import CSV_COLUMNS, ExperimentSpec, build_parser, main, run_experiment, write_csv
 from conftest import PHANTOM
 
@@ -123,17 +132,18 @@ class TestRunExperiment:
 
     def test_each_plan_built_once_across_calls(self, monkeypatch):
         built = []
+        init = FftPlan.__init__
 
-        def counted(n, mode):
+        def counted(plan, n, mode):
             built.append((n, mode))
-            return make_plan(n, mode)
+            init(plan, n, mode)
 
-        monkeypatch.setattr(mri, "make_plan", counted)
-        mri._plan.cache_clear()
+        monkeypatch.setattr(FftPlan, "__init__", counted)
+        fftcore._cached_plan.cache_clear()
         spec = _spec(modes=["reference", "fp16", "e4m3"], sizes=[16, 32], blocks=[8, 32], seeds=[0])
         first = run_experiment(spec)
         again = run_experiment(spec)
-        mri._plan.cache_clear()
+        fftcore._cached_plan.cache_clear()
         # per size: the reference, fp16 and e4m3 at B=8 and B=32
         assert len(built) == len(set(built)) == 2 * 4
         assert [r | {"runtime_ms": ""} for r in first] == [r | {"runtime_ms": ""} for r in again]
@@ -142,6 +152,12 @@ class TestRunExperiment:
         rows = run_experiment(_spec(modes=["reference", "fp16"], blocks=[2, 8, 32], seeds=[0]))
         assert len(_details(rows)) == 2  # one cell per mode, block column empty
         assert all(r["block"] == "" for r in rows)
+
+    def test_one_cell_per_mode_spec_in_block_order(self):
+        # fp16 takes no block: one cell; a block listed twice is one cell
+        rows = run_experiment(_spec(modes=["e4m3", "fp16"], blocks=[32, 2, 8, 2], seeds=[0]))
+        cells = [(r["mode"], r["block"]) for r in _details(rows)]
+        assert cells == [("fp16", ""), ("e4m3", "2"), ("e4m3", "8"), ("e4m3", "32")]
 
     def test_aggregate_row_is_mean(self):
         rows = run_experiment(_spec(seeds=[0, 1, 2]))

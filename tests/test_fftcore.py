@@ -13,6 +13,7 @@ from mxfft import (
     E5M2,
     FORMATS,
     ConfigError,
+    FftPlan,
     InvalidValue,
     MinifloatFormat,
     ModeSpec,
@@ -22,7 +23,7 @@ from mxfft import (
     fft_2d,
     make_plan,
 )
-from mxfft import fftcore, mri
+from mxfft import fftcore
 from mxfft.cli import MODE_NAMES
 from mxfft.fftcore import _bit_reversal, _mx_multiply, _twiddles
 
@@ -329,6 +330,8 @@ def test_mode_from_name():
         (lambda: ModeSpec.mx(E4M3, 32.0), "block_size"),
         (lambda: fft_1d(np.ones(4), make_plan(4, ModeSpec.reference()), "backward"), "direction"),
         (lambda: fft_2d(np.ones((4, 4)), make_plan(4, ModeSpec.mx(E4M3)), "backward"), "direction"),
+        (lambda: make_plan(8, "e4m3"), "mode"),
+        (lambda: FftPlan(8, "e4m3"), "mode"),
     ],
 )
 def test_bad_modes_and_directions_name_the_field(build, field):
@@ -339,6 +342,18 @@ def test_bad_modes_and_directions_name_the_field(build, field):
 def test_float_size_is_a_typed_error():
     with pytest.raises(UnsupportedSize, match="integer power of two"):
         make_plan(8.0, ModeSpec.reference())
+
+
+def test_make_plan_builds_each_size_and_mode_once():
+    mode = ModeSpec.mx(E4M3, 8)
+    plan = make_plan(8, mode)
+    assert make_plan(8, ModeSpec.mx(E4M3, 8)) is plan
+    assert make_plan(np.int64(8), mode) is plan
+    # 8.0 == 8 and hashes alike, so a cache keyed on the raw size would
+    # return 8's plan; a list is unhashable
+    for n in (8.0, [8]):
+        with pytest.raises(UnsupportedSize, match="integer power of two"):
+            make_plan(n, mode)
 
 
 def test_numpy_integer_sizes_are_accepted():
@@ -384,7 +399,7 @@ def test_pow2_linearity_property(fmt, block, log_n, direction, k, seed):
 
 
 def _named_plan(n, name, block):
-    return mri._plan(n, ModeSpec.from_name(name, block))
+    return make_plan(n, ModeSpec.from_name(name, block))
 
 
 def _assert_stack_equals_per_coil(x, plan, direction):

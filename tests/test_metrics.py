@@ -111,6 +111,16 @@ def test_psnr_nmse_power_of_two_scaling_is_bit_exact(n, seed, e, j):
     assert math.isfinite(psnr(r, t)) and math.isfinite(nmse(r, t))
 
 
+@pytest.mark.parametrize("metric", [psnr, nmse, ssim])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("image", ["reference", "test"])
+def test_non_finite_pixels_are_a_typed_error(metric, bad, image, rng):
+    pair = {"reference": rng.uniform(0.1, 1.0, (16, 16)), "test": rng.uniform(0.1, 1.0, (16, 16))}
+    pair[image][3, 5] = bad
+    with pytest.raises(InvalidValue, match=f"^the {image} image has a non-finite pixel"):
+        metric(pair["reference"], pair["test"])
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("metric", [psnr, nmse])
 def test_overflowing_errors_are_a_typed_error(metric, rng):

@@ -14,6 +14,7 @@ from mxfft import (
     BadVersion,
     ComplexGrid,
     ConfigError,
+    FftPlan,
     FileFormatError,
     InvalidValue,
     ModeSpec,
@@ -33,7 +34,7 @@ from mxfft import (
     rss,
     write_grid,
 )
-from mxfft import mri
+from mxfft import fftcore
 from mxfft.cli import MODE_NAMES
 
 from conftest import COILS, PHANTOM, rss_of
@@ -90,6 +91,11 @@ class TestComplexGrid:
         bad[0, 0, 0] = np.nan
         with pytest.raises(InvalidValue):
             ComplexGrid(bad, "image")
+
+    @pytest.mark.parametrize("data", [[[["a"]]], [[[1, 2], [3]]]])
+    def test_non_numeric_data_is_a_typed_error(self, data):
+        with pytest.raises(InvalidValue, match="^grid data must be an array of numbers"):
+            ComplexGrid(data, "kspace")
 
     @pytest.mark.parametrize("shape, field", [((0, 4, 4), "coils"), ((1, 0, 0), "n")])
     def test_rejects_empty(self, shape, field):
@@ -265,6 +271,8 @@ class TestPhantom:
             (dict(seed=1.5), "seed"),
             (dict(n=16.0), "n"),
             (dict(coils=2.0), "coils"),
+            (dict(tail="0.2"), "tail"),
+            (dict(noise=None), "noise"),
         ],
     )
     def test_rejects_bad_texture_and_seed_naming_the_field(self, kw, field):
@@ -296,14 +304,15 @@ class TestPhantom:
 
     def test_plan_built_once_per_size(self, monkeypatch):
         built = []
-        monkeypatch.setattr(mri, "make_plan", lambda n, mode: built.append(n) or make_plan(n, mode))
-        mri._plan.cache_clear()
+        init = FftPlan.__init__
+        monkeypatch.setattr(FftPlan, "__init__", lambda p, n, mode: built.append(n) or init(p, n, mode))
+        fftcore._cached_plan.cache_clear()
         first = gen_phantom(16, 2, 0)
         for seed in (1, 2):
             gen_phantom(16, 2, seed)
         gen_phantom(32, 2, 0)
         assert built == [16, 32]
-        mri._plan.cache_clear()
+        fftcore._cached_plan.cache_clear()
         again = gen_phantom(16, 2, 0)
         for a, b in zip(first, again):
             assert np.array_equal(a.data, b.data)

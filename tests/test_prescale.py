@@ -48,6 +48,9 @@ class TestConfig:
             (dict(k_max=1023), "k_max"),
             (dict(k_min=-1.5, k_max=-1.5), "k_min"),
             (dict(k_max=2.0), "k_max"),
+            (dict(target="1"), "target"),
+            (dict(tau=None), "tau"),
+            (dict(tau_min="1e-6"), "tau_min"),
         ],
     )
     def test_rejects_unbounded_fields_naming_them(self, kw, field):
@@ -108,6 +111,11 @@ class TestComputePrescale:
     def test_nonfinite_rejected(self):
         with pytest.raises(InvalidValue):
             compute_prescale(np.array([np.inf]), CFG)
+
+    @pytest.mark.parametrize("x", [["a"], [True], np.array([1.0, None])])
+    def test_non_numeric_rejected(self, x):
+        with pytest.raises(InvalidValue, match="numeric, got dtype"):
+            compute_prescale(x, CFG)
 
     def test_empty_rejected(self):
         with pytest.raises(InvalidValue, match="empty"):
