@@ -19,11 +19,11 @@ from pathlib import Path
 
 from . import metrics
 from .errors import ConfigError, MxfftError
-from .fftcore import ModeSpec, _is_pow2, make_plan
-from .minifloat import FORMATS
+from .fftcore import MODE_NAMES, ModeSpec, _is_pow2, make_plan
 from .mri import (
     IMAGE,
     KSPACE,
+    PHANTOM_KINDS,
     PHANTOM_NOISE,
     PHANTOM_TAIL,
     _pipeline,
@@ -51,11 +51,11 @@ CSV_COLUMNS = [
     "runtime_ms",
 ]
 
-MODE_NAMES = ("reference", "fp16") + tuple(sorted(k for k in FORMATS if k != "fp16"))
-
-
-@dataclasses.dataclass
+@dataclasses.dataclass(frozen=True)
 class ExperimentSpec:
+    """One sweep.  Building it checks the axes, pipeline, coils and prescale and
+    raises ConfigError naming the field; gen_phantom checks the phantom fields."""
+
     modes: list
     sizes: list
     blocks: list
@@ -67,36 +67,28 @@ class ExperimentSpec:
     noise: float = PHANTOM_NOISE
     prescale: PrescaleConfig = dataclasses.field(default_factory=PrescaleConfig)
     input_path: str = None  # MXCG file instead of phantoms
-    out: str = None
 
-    def validate(self):
-        if not self.modes:
-            raise ConfigError("modes", "need at least one mode")
+    def __post_init__(self):
+        axes = {"modes": "mode", "sizes": "size", "blocks": "block size", "seeds": "seed"}
+        for field, noun in axes.items():
+            axis = getattr(self, field)
+            if not isinstance(axis, (list, tuple)):
+                raise ConfigError(field, f"must be a list or tuple, got {axis!r}")
+            if not axis:
+                raise ConfigError(field, f"need at least one {noun}")
         for m in self.modes:
             if m not in MODE_NAMES:
                 raise ConfigError("modes", f"unknown mode {m!r}; known: {', '.join(MODE_NAMES)}")
-        if not self.sizes:
-            raise ConfigError("sizes", "need at least one size")
-        for n in self.sizes:
-            if not _is_pow2(n):
-                raise ConfigError("sizes", f"{n!r} is not an integer power of two >= 2")
-        if not self.blocks:
-            raise ConfigError("blocks", "need at least one block size")
-        for b in self.blocks:
-            if not _is_pow2(b):
-                raise ConfigError("blocks", f"{b!r} is not an integer power of two >= 2")
-        if not self.seeds:
-            raise ConfigError("seeds", "need at least one seed")
+        for field in ("sizes", "blocks"):
+            for n in getattr(self, field):
+                if not _is_pow2(n):
+                    raise ConfigError(field, f"{n!r} is not an integer power of two >= 2")
         if self.pipeline not in ("forward", "roundtrip"):
             raise ConfigError("pipeline", "must be 'forward' or 'roundtrip'")
         if not (isinstance(self.coils, numbers.Integral) and self.coils >= 1):
             raise ConfigError("coils", f"must be an integer >= 1, got {self.coils!r}")
-
-
-def _fmt(v: float) -> str:
-    if v == math.inf:
-        return "inf"
-    return f"{v:.10g}"
+        if not isinstance(self.prescale, PrescaleConfig):
+            raise ConfigError("prescale", f"must be a PrescaleConfig, got {self.prescale!r}")
 
 
 def _mean_std(vals):
@@ -111,9 +103,8 @@ def _row(cell, dataset_id, seed, values, stds, prescale_k, ms):
     """One CSV row of cell (size, mode, block, pipeline): the psnr/ssim/nmse
     values (per seed, or means) and their std columns (empty per seed)."""
     size, mode, block, pipeline = cell
-    block = "" if block is None else str(block)
     fields = [dataset_id, str(seed), str(size), mode, block, pipeline]
-    fields += [_fmt(v) for v in values] + list(stds) + [prescale_k, f"{ms:.3f}"]
+    fields += [f"{v:.10g}" for v in values] + list(stds) + [prescale_k, f"{ms:.3f}"]
     return dict(zip(CSV_COLUMNS, fields))
 
 
@@ -137,42 +128,43 @@ def _inputs(spec: ExperimentSpec, size: int):
 def run_experiment(spec: ExperimentSpec):
     """Run the full experiment matrix; returns a list of CSV row dicts.
 
+    One cell per distinct size, mode and ModeSpec, in size, MODE_NAMES and
+    block order; the modes without blocks take one cell whatever the blocks.
     Detail rows carry per-seed metrics; each cell is followed by one
     aggregate row (seed == "mean") with mean values and std columns filled.
     Each input's prescale exponent is chosen once and shared by its FP64
     reference run and every cell; each (size, mode) plan is built once per
     process.
     """
-    spec.validate()
+    cells = dict.fromkeys(
+        (mode, ModeSpec.from_name(mode, b))
+        for mode in sorted(spec.modes, key=MODE_NAMES.index)
+        for b in sorted(spec.blocks)
+    )
     rows = []
-    for size in sorted(spec.sizes):
+    for size in sorted(set(spec.sizes)):
         ref_plan = make_plan(size, ModeSpec.reference())
         inputs = []  # (dataset_id, seed, grid, prescale k, reference RSS)
         for dataset_id, seed, grid in _inputs(spec, size):
             k = compute_prescale(grid.data, spec.prescale).k
             inputs.append((dataset_id, seed, grid, k, _pipeline(grid, ref_plan, k)))
-        for mode in sorted(spec.modes, key=MODE_NAMES.index):
-            # one cell per distinct ModeSpec: the modes without blocks take one
-            for ms in dict.fromkeys(ModeSpec.from_name(mode, b) for b in sorted(spec.blocks)):
-                plan = make_plan(size, ms)
-                cell = (size, mode, ms.block_size if ms.kind == "mx" else None, spec.pipeline)
-                results = []  # (metric values, ms) per input
-                for dataset_id, seed, grid, k, ref_out in inputs:
-                    t0 = time.perf_counter()
-                    out = _pipeline(grid, plan, k)
-                    ms = (time.perf_counter() - t0) * 1e3
-                    rep = metrics.report(ref_out, out)
-                    values = (rep.psnr_db, rep.ssim, rep.nmse)
-                    results.append((values, ms))
-                    rows.append(_row(cell, dataset_id, seed, values, ("", "", ""), str(k), ms))
-                stats = [_mean_std([v[i] for v, _ in results]) for i in range(3)]
-                mean_ms = sum(ms for _, ms in results) / len(results)
-                rows.append(
-                    _row(cell, inputs[0][0], "mean", [m for m, _ in stats],
-                         [_fmt(sd) for _, sd in stats], "", mean_ms)
-                )
-    if spec.out:
-        write_csv(rows, spec.out)
+        for mode, mode_spec in cells:
+            plan = make_plan(size, mode_spec)
+            block = str(mode_spec.block_size) if mode_spec.kind == "mx" else ""
+            cell = (size, mode, block, spec.pipeline)
+            results = []  # (metric values, runtime in ms) per input
+            for dataset_id, seed, grid, k, ref_out in inputs:
+                t0 = time.perf_counter()
+                out = _pipeline(grid, plan, k)
+                elapsed_ms = (time.perf_counter() - t0) * 1e3
+                rep = metrics.report(ref_out, out)
+                values = (rep.psnr_db, rep.ssim, rep.nmse)
+                results.append((values, elapsed_ms))
+                rows.append(_row(cell, dataset_id, seed, values, ("", "", ""), str(k), elapsed_ms))
+            stats = [_mean_std([v[i] for v, _ in results]) for i in range(3)]
+            mean_ms = sum(t for _, t in results) / len(results)
+            rows.append(_row(cell, inputs[0][0], "mean", [m for m, _ in stats],
+                             [f"{sd:.10g}" for _, sd in stats], "", mean_ms))
     return rows
 
 
@@ -210,7 +202,7 @@ def _add_phantom_flags(p, seed_flag, **seed_kw):
     default = {f.name: f.default for f in dataclasses.fields(ExperimentSpec)}
     p.add_argument("--coils", type=int, default=default["coils"])
     p.add_argument(seed_flag, type=int, **seed_kw)
-    p.add_argument("--kind", default=default["kind"], choices=["blobs", "bars"])
+    p.add_argument("--kind", default=default["kind"], choices=PHANTOM_KINDS)
     p.add_argument(
         "--tail", type=float, default=default["tail"], help="low-magnitude texture weight"
     )
@@ -247,12 +239,12 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("forward", "roundtrip"):
         c = sub.add_parser(name, help=f"run one {name} cell")
         c.add_argument("--mode", default="e4m3", help="one of: " + ", ".join(MODE_NAMES))
-        c.add_argument("--block", type=int, default=32)
+        c.add_argument("--block", type=int, default=ModeSpec.block_size)
         _add_common_flags(c)
 
     s = sub.add_parser("sweep", help="run the cross product of modes/sizes/blocks")
     s.add_argument("--mode", default="e4m3,e5m2", help="comma-separated modes")
-    s.add_argument("--block", default="32", help="comma-separated block sizes")
+    s.add_argument("--block", default=str(ModeSpec.block_size), help="comma-separated block sizes")
     s.add_argument("--pipeline", default="forward", choices=["forward", "roundtrip"])
     _add_common_flags(s)
 
@@ -272,13 +264,7 @@ def _spec_of(args, modes, blocks, pipeline) -> ExperimentSpec:
         noise=args.noise,
         prescale=_prescale_of(args),
         input_path=args.input,
-        out=args.out,
     )
-
-
-def _emit(rows, out):
-    if not out:
-        _write_rows(sys.stdout, rows)
 
 
 def main(argv=None) -> int:
@@ -298,7 +284,10 @@ def main(argv=None) -> int:
         else:
             spec = _spec_of(args, args.mode.split(","), _ints(args.block, "blocks"), args.pipeline)
         rows = run_experiment(spec)
-        _emit(rows, spec.out)
+        if args.out:
+            write_csv(rows, args.out)
+        else:
+            _write_rows(sys.stdout, rows)
         return 0
     except (MxfftError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -34,7 +34,7 @@ import numpy as np
 from . import mxblock
 from .errors import ConfigError, InvalidValue, ShapeError, UnsupportedSize
 from .minifloat import FP16 as _FP16_FMT
-from .minifloat import MinifloatFormat, _quantize_inplace, get_format
+from .minifloat import FORMATS, MinifloatFormat, _quantize_inplace, get_format
 from .minifloat import quantize_array  # noqa: F401  (perfbench traces fftcore.quantize_array)
 
 
@@ -56,8 +56,9 @@ class ModeSpec:
                 "block_size", f"{self.block_size!r} is not an integer power of two >= 2"
             )
 
+    # `block_size` in the defaults below is the field default above
     @staticmethod
-    def mx(fmt: MinifloatFormat, block_size: int = 32) -> "ModeSpec":
+    def mx(fmt: MinifloatFormat, block_size: int = block_size) -> "ModeSpec":
         return ModeSpec("mx", fmt, block_size)
 
     @staticmethod
@@ -69,12 +70,17 @@ class ModeSpec:
         return ModeSpec("reference")
 
     @staticmethod
-    def from_name(name: str, block_size: int = 32) -> "ModeSpec":
+    def from_name(name: str, block_size: int = block_size) -> "ModeSpec":
+        """The mode of one of MODE_NAMES; block_size applies to the MX modes."""
         if name == "reference":
             return ModeSpec.reference()
         if name == "fp16":
             return ModeSpec.fp16()
         return ModeSpec.mx(get_format(name), block_size)
+
+
+# The names ModeSpec.from_name decodes, in sweep order: the scalar modes, then the MX formats
+MODE_NAMES = ("reference", "fp16") + tuple(sorted(k for k in FORMATS if k != "fp16"))
 
 
 def _bit_reversal(n: int) -> np.ndarray:
@@ -406,6 +412,11 @@ def _mx_multiply(v: np.ndarray, w, fmt: MinifloatFormat, exact: bool = False) ->
 # ---------------------------------------------------------------------------
 
 
+def _check_plan(plan) -> None:
+    if not isinstance(plan, FftPlan):
+        raise ConfigError("plan", f"must be an FftPlan (see make_plan), got {plan!r}")
+
+
 def _is_inverse(direction: str) -> bool:
     if direction not in ("forward", "inverse"):
         raise ConfigError("direction", f"must be 'forward' or 'inverse', got {direction!r}")
@@ -417,6 +428,7 @@ def fft_1d(x, plan: FftPlan, direction: str = "forward") -> np.ndarray:
 
     Returns complex128 in reference mode and complex64 in the MX and FP16 modes.
     """
+    _check_plan(plan)
     x = np.asarray(x, dtype=np.complex128)
     if x.ndim != 1:
         raise ShapeError("fft_1d expects a 1-D vector")
@@ -449,6 +461,7 @@ def fft_2d(x, plan: FftPlan, direction: str = "forward") -> np.ndarray:
     max(1, COIL_CHUNK_ELEMS // N**2), one stage-driver call per chunk and
     pass: N=256 runs one coil per call, N=128 two, N=64 eight.
     """
+    _check_plan(plan)
     x = np.asarray(x, dtype=np.complex128)
     if x.ndim not in (2, 3) or x.shape[-1] != x.shape[-2]:
         raise UnsupportedSize("fft_2d expects a square grid or a (coils, n, n) stack of them")

@@ -24,7 +24,15 @@ class MetricsReport:
 
 
 def _pixels(img) -> np.ndarray:
-    return np.asarray(getattr(img, "pixels", img), dtype=np.float64)
+    """An image's pixels (an RssImage or an array) as float64; raises
+    InvalidValue unless they are real: bool, integer or float."""
+    try:
+        a = np.asarray(getattr(img, "pixels", img))
+    except (TypeError, ValueError) as exc:
+        raise InvalidValue(f"image pixels must be an array of numbers: {exc}") from None
+    if a.dtype.kind not in "biuf":
+        raise InvalidValue(f"image pixels must be real numbers, got dtype {a.dtype}")
+    return a.astype(np.float64, copy=False)
 
 
 def _check_pair(ref, test):
@@ -135,6 +143,8 @@ def ssim(ref, test) -> float:
     values stay in range.  Raises InvalidValue if they still overflow.
     """
     r, t = _check_pair(ref, test)
+    if r.ndim != 2:
+        raise ShapeError(f"ssim expects 2-D images, got shape {r.shape}")
     if min(r.shape) < SSIM_WINDOW:
         raise WindowTooLarge(f"image smaller than {SSIM_WINDOW}x{SSIM_WINDOW} window")
     L = float(r.max() - r.min())

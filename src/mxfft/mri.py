@@ -36,6 +36,7 @@ IMAGE = "image"
 # floor give the k-space a realistic noise floor and tail.
 PHANTOM_TAIL = 0.2
 PHANTOM_NOISE = 0.1
+PHANTOM_KINDS = ("blobs", "bars")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -138,8 +139,7 @@ def coil_sensitivities(n: int, coils: int, seed: int) -> np.ndarray:
     stays above 0.5 over any support.
     """
     rng = np.random.default_rng(seed + 7919)
-    ax = np.linspace(-1.0, 1.0, n)
-    yy, xx = np.meshgrid(ax, ax, indexing="ij")
+    yy, xx = _coords(n)
     maps = np.empty((coils, n, n), dtype=np.complex128)
     for c in range(coils):
         ang = 2.0 * np.pi * c / coils
@@ -150,13 +150,17 @@ def coil_sensitivities(n: int, coils: int, seed: int) -> np.ndarray:
     return maps
 
 
-def _phantom_magnitude(n, kind, rng, tail):
+def _coords(n: int):
+    """(yy, xx): the row and column coordinates of an n x n grid over [-1, 1]^2."""
     ax = np.linspace(-1.0, 1.0, n)
-    yy, xx = np.meshgrid(ax, ax, indexing="ij")
+    return np.meshgrid(ax, ax, indexing="ij")
+
+
+def _phantom_magnitude(yy, xx, kind, rng, tail):
     rr = np.sqrt(xx**2 + yy**2)
     support = 0.5 * (1.0 + np.tanh((0.85 - rr) / 0.05))
     if kind == "blobs":
-        mag = np.zeros((n, n))
+        mag = np.zeros(xx.shape)
         for _ in range(6):
             cx, cy = rng.uniform(-0.5, 0.5, size=2)
             sig = rng.uniform(0.08, 0.25)
@@ -169,9 +173,9 @@ def _phantom_magnitude(n, kind, rng, tail):
         ramp = (xx * math.cos(theta) + yy * math.sin(theta)) / period
         mag = 0.55 + 0.45 * np.tanh(4.0 * np.sin(2 * np.pi * ramp + phase))
     else:
-        raise ConfigError("kind", f"unknown phantom kind {kind!r}")
+        raise ConfigError("kind", f"unknown phantom kind {kind!r}; known: {', '.join(PHANTOM_KINDS)}")
     if tail > 0:
-        noise = _blur(rng.standard_normal((n, n)))
+        noise = _blur(rng.standard_normal(xx.shape))
         mag = mag + tail * np.abs(noise)
     return mag * support
 
@@ -241,9 +245,8 @@ def gen_phantom(
             raise ConfigError(field, f"must be finite and >= 0, got {value!r}")
     rng = np.random.default_rng(seed)
     with np.errstate(over="ignore", invalid="ignore"):
-        mag = _phantom_magnitude(n, kind, rng, tail)
-        ax = np.linspace(-1.0, 1.0, n)
-        yy, xx = np.meshgrid(ax, ax, indexing="ij")
+        yy, xx = _coords(n)
+        mag = _phantom_magnitude(yy, xx, kind, rng, tail)
         a, b, c, d = rng.uniform(-1.0, 1.0, size=4)
         phase = np.pi * (a * xx + b * yy + c * xx * yy + d * (xx**2 - yy**2))
         sens = coil_sensitivities(n, coils, seed)

@@ -15,5 +15,8 @@ def block_scales(amax, fmt: MinifloatFormat) -> np.ndarray:
     are held at or above 2^-1022, the smallest normal float64.
     """
     a = np.asarray(amax, dtype=np.float64)
-    s = np.maximum(_binade(a) * 2.0**-fmt.emax, 2.0**-1022)
-    return np.where(a > 0, s, 1.0)
+    s = _binade(a)
+    s *= 2.0**-fmt.emax
+    np.maximum(s, 2.0**-1022, out=s)
+    np.copyto(s, 1.0, where=~(a > 0))
+    return s

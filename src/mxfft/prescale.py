@@ -71,6 +71,8 @@ def _log2(ratio: float) -> float:
 
 def compute_prescale(x, cfg: PrescaleConfig) -> PrescaleResult:
     """Choose the power-of-two exponent k for the array x."""
+    if not isinstance(cfg, PrescaleConfig):
+        raise ConfigError("cfg", f"must be a PrescaleConfig, got {cfg!r}")
     x = np.asarray(x)
     if x.dtype.kind not in "iufc":  # integer, float or complex
         raise InvalidValue(f"prescale input must be numeric, got dtype {x.dtype}")
@@ -79,6 +81,8 @@ def compute_prescale(x, cfg: PrescaleConfig) -> PrescaleResult:
     if not np.all(np.isfinite(x)):
         raise InvalidValue("non-finite input to prescale")
     m = np.abs(x)
+    if x.dtype.kind == "i":  # np.abs wraps a signed type's minimum onto itself
+        m = np.abs(x.astype(np.float64))
     a_max = float(m.max())
     nz = m[m > 0]
     p_tau = float(np.percentile(nz, cfg.tau)) if nz.size else 0.0

@@ -1,12 +1,14 @@
 """Experiment harness: spec validation, row arithmetic, determinism, exit codes."""
 
 import csv
+import dataclasses
 import inspect
 import io
 import math
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
+import numpy as np
 import pytest
 
 from mxfft import (
@@ -95,6 +97,39 @@ class TestSpecValidation:
         with pytest.raises(ConfigError, match="e4m3"):
             _spec(modes=["bogus"]).validate()
 
+    @pytest.mark.parametrize(
+        "kw, field",
+        [
+            (dict(modes=[]), "modes"),
+            (dict(modes=["e9m9"]), "modes"),
+            (dict(sizes=[]), "sizes"),
+            (dict(sizes=[48]), "sizes"),
+            (dict(blocks=[]), "blocks"),
+            (dict(blocks=[3]), "blocks"),
+            (dict(seeds=[]), "seeds"),
+            (dict(pipeline="sideways"), "pipeline"),
+            (dict(coils=0), "coils"),
+            (dict(modes="e4m3"), "modes"),
+            (dict(sizes=16), "sizes"),
+            (dict(sizes=np.array([16, 32])), "sizes"),
+            (dict(blocks={8}), "blocks"),
+            (dict(seeds=3), "seeds"),
+            (dict(prescale=None), "prescale"),
+            (dict(prescale={"tau": 1.0}), "prescale"),
+        ],
+    )
+    def test_construction_raises_naming_the_field(self, kw, field):
+        with pytest.raises(ConfigError, match=f"^{field}: ") as exc:
+            _spec(**kw)
+        assert exc.value.field == field
+
+    def test_spec_is_frozen_and_takes_tuple_axes(self):
+        spec = _spec()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            spec.sizes = [48]
+        assert not hasattr(spec, "validate") and not hasattr(spec, "out")
+        assert _spec(modes=("e4m3",), sizes=(16,), blocks=(8,), seeds=(0,)).sizes == (16,)
+
 
 class TestRunExperiment:
     def test_row_arithmetic(self):
@@ -159,6 +194,21 @@ class TestRunExperiment:
         cells = [(r["mode"], r["block"]) for r in _details(rows)]
         assert cells == [("fp16", ""), ("e4m3", "2"), ("e4m3", "8"), ("e4m3", "32")]
 
+    @pytest.mark.parametrize("kw", [dict(modes=["e4m3", "e4m3"]), dict(sizes=[16, 16])])
+    def test_axis_value_listed_twice_is_one_cell(self, kw):
+        rows = run_experiment(_spec(seeds=[0], **kw))
+        assert [(r["size"], r["mode"], r["block"], r["seed"]) for r in rows] == [
+            ("16", "e4m3", "32", "0"),
+            ("16", "e4m3", "32", "mean"),
+        ]
+
+    def test_opens_no_file(self, monkeypatch):
+        def no_open(*args, **kwargs):
+            raise AssertionError(f"run_experiment opened {args[0]!r}")
+
+        monkeypatch.setattr("builtins.open", no_open)
+        assert len(run_experiment(_spec(seeds=[0]))) == 2
+
     def test_aggregate_row_is_mean(self):
         rows = run_experiment(_spec(seeds=[0, 1, 2]))
         det = _details(rows)
@@ -184,7 +234,8 @@ class TestRunExperiment:
 
     def test_csv_file_output(self, tmp_path):
         out = tmp_path / "r.csv"
-        rows = run_experiment(_spec(seeds=[0], out=str(out)))
+        rows = run_experiment(_spec(seeds=[0]))
+        write_csv(rows, out)
         with open(out, newline="") as fh:
             back = list(csv.DictReader(fh))
         assert back == rows

@@ -23,7 +23,7 @@ from mxfft import (
     fft_2d,
     make_plan,
 )
-from mxfft import fftcore
+from mxfft import cli, fftcore
 from mxfft.cli import MODE_NAMES
 from mxfft.fftcore import _bit_reversal, _mx_multiply, _twiddles
 
@@ -337,6 +337,22 @@ def test_mode_from_name():
 def test_bad_modes_and_directions_name_the_field(build, field):
     with pytest.raises(ConfigError, match=f"^{field}: "):
         build()
+
+
+@pytest.mark.parametrize("plan", [None, "e4m3", ModeSpec.reference()])
+@pytest.mark.parametrize("transform, x", [(fft_1d, np.ones(4)), (fft_2d, np.ones((4, 4)))])
+def test_a_plan_that_is_not_an_fft_plan_is_a_config_error(transform, x, plan):
+    with pytest.raises(ConfigError, match="^plan: must be an FftPlan"):
+        transform(x, plan)
+
+
+def test_mode_names_and_default_block_live_with_mode_spec():
+    assert cli.MODE_NAMES is fftcore.MODE_NAMES
+    assert all(ModeSpec.from_name(name) for name in MODE_NAMES)
+    default = ModeSpec.block_size
+    assert ModeSpec.mx(E4M3).block_size == ModeSpec.from_name("e4m3").block_size == default
+    for command, block in (["forward"], default), (["sweep"], str(default)):
+        assert cli.build_parser().parse_args(command).block == block
 
 
 def test_float_size_is_a_typed_error():

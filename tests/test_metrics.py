@@ -121,6 +121,26 @@ def test_non_finite_pixels_are_a_typed_error(metric, bad, image, rng):
         metric(pair["reference"], pair["test"])
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [[["a", "b"]], [[1.0, 2.0], [3.0]], np.ones((16, 16)) + 1j, np.array([[1.0, None]])],
+    ids=["strings", "ragged", "complex", "object"],
+)
+@pytest.mark.parametrize("metric", [psnr, nmse, ssim, report])
+def test_pixels_that_are_not_real_numbers_are_a_typed_error(metric, bad):
+    for ref, test in ((bad, np.ones((16, 16))), (np.ones((16, 16)), bad)):
+        with pytest.raises(InvalidValue, match="^image pixels must be"):
+            metric(ref, test)
+
+
+def test_bool_and_integer_pixels_score_as_float(rng):
+    r = rng.integers(1, 200, (16, 16))
+    t = r + (rng.uniform(size=(16, 16)) > 0.5)
+    for metric in (psnr, nmse, ssim):
+        assert metric(r, t) == metric(r.astype(float), t.astype(float))
+    assert psnr(r > 100, r > 100) == math.inf
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("metric", [psnr, nmse])
 def test_overflowing_errors_are_a_typed_error(metric, rng):
@@ -185,6 +205,14 @@ class TestSsim:
             r = rng.uniform(0, 1, (16, 16))
             t = rng.uniform(0, 1, (16, 16))
             assert -1.0 <= ssim(r, t) <= 1.0
+
+    @pytest.mark.parametrize("shape", [(2, 16, 16), (256,)])
+    def test_not_2d_is_a_shape_error(self, shape, rng):
+        x = rng.uniform(0.1, 1.0, shape)
+        with pytest.raises(ShapeError, match="^ssim expects 2-D images"):
+            ssim(x, x)
+        with pytest.raises(ShapeError, match="^ssim expects 2-D images"):
+            report(x, x)
 
     def test_window_larger_than_image(self):
         with pytest.raises(WindowTooLarge):

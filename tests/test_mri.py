@@ -36,6 +36,7 @@ from mxfft import (
 )
 from mxfft import fftcore
 from mxfft.cli import MODE_NAMES
+from mxfft.mri import PHANTOM_KINDS
 
 from conftest import COILS, PHANTOM, rss_of
 
@@ -134,6 +135,20 @@ class TestForwardPipeline:
         g = ComplexGrid(np.ones((1, 8, 8), dtype=complex), "image")
         with pytest.raises(InvalidValue):
             forward_pipeline(g, make_plan(8, ModeSpec.reference()), CFG)
+
+    @pytest.mark.parametrize(
+        "pipeline, domain", [(forward_pipeline, "kspace"), (roundtrip_pipeline, "image")]
+    )
+    @pytest.mark.parametrize(
+        "plan, cfg, field",
+        [("ref", None, "cfg"), (None, CFG, "plan"), ("e4m3", CFG, "plan")],
+    )
+    def test_wrong_typed_plan_or_config_names_it(self, pipeline, domain, plan, cfg, field):
+        g = ComplexGrid(np.ones((1, 8, 8), dtype=complex), domain)
+        if plan == "ref":
+            plan = make_plan(8, ModeSpec.reference())
+        with pytest.raises(ConfigError, match=f"^{field}: "):
+            pipeline(g, plan, cfg)
 
     def test_overflowing_undo_is_a_typed_error(self):
         # the transform of the prescaled grid is in range, but undoing a
@@ -257,6 +272,13 @@ class TestPhantom:
             gen_phantom(32, 0, 0)
         with pytest.raises(ConfigError):
             gen_phantom(32, 1, 0, kind="stripes")
+
+    def test_unknown_kind_lists_the_kinds(self):
+        with pytest.raises(ConfigError, match="^kind: .*known: blobs, bars$"):
+            gen_phantom(32, 1, 0, kind="stripes")
+        assert PHANTOM_KINDS == ("blobs", "bars")
+        for kind in PHANTOM_KINDS:
+            gen_phantom(16, 1, 0, kind=kind)
 
     @pytest.mark.parametrize(
         "kw, field",

@@ -117,6 +117,17 @@ class TestComputePrescale:
         with pytest.raises(InvalidValue, match="numeric, got dtype"):
             compute_prescale(x, CFG)
 
+    @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64])
+    def test_signed_integer_minimum_matches_its_float64_copy(self, dtype):
+        # np.abs maps a signed type's minimum onto itself
+        x = np.array([np.iinfo(dtype).min, 1], dtype=dtype)
+        assert compute_prescale(x, CFG) == compute_prescale(x.astype(np.float64), CFG)
+
+    @pytest.mark.parametrize("cfg", [None, {"tau": 1.0}, 1.0])
+    def test_config_that_is_not_a_prescale_config_names_cfg(self, cfg):
+        with pytest.raises(ConfigError, match="^cfg: must be a PrescaleConfig"):
+            compute_prescale(np.ones(4), cfg)
+
     def test_empty_rejected(self):
         with pytest.raises(InvalidValue, match="empty"):
             compute_prescale([], CFG)
