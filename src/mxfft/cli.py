@@ -12,7 +12,6 @@ import argparse
 import csv
 import dataclasses
 import math
-import numbers
 import sys
 import time
 from pathlib import Path
@@ -26,6 +25,7 @@ from .mri import (
     PHANTOM_KINDS,
     PHANTOM_NOISE,
     PHANTOM_TAIL,
+    _check_phantom_fields,
     _pipeline,
     gen_phantom,
     read_grid,
@@ -53,8 +53,9 @@ CSV_COLUMNS = [
 
 @dataclasses.dataclass(frozen=True)
 class ExperimentSpec:
-    """One sweep.  Building it checks the axes, pipeline, coils and prescale and
-    raises ConfigError naming the field; gen_phantom checks the phantom fields."""
+    """One sweep.  Building it checks the axes, pipeline, phantom fields (by
+    gen_phantom's rule, also when input_path is set) and prescale, and raises
+    ConfigError naming the field."""
 
     modes: list
     sizes: list
@@ -85,8 +86,8 @@ class ExperimentSpec:
                     raise ConfigError(field, f"{n!r} is not an integer power of two >= 2")
         if self.pipeline not in ("forward", "roundtrip"):
             raise ConfigError("pipeline", "must be 'forward' or 'roundtrip'")
-        if not (isinstance(self.coils, numbers.Integral) and self.coils >= 1):
-            raise ConfigError("coils", f"must be an integer >= 1, got {self.coils!r}")
+        for seed in self.seeds:  # every size is already a valid n
+            _check_phantom_fields(self.sizes[0], self.coils, seed, self.kind, self.tail, self.noise)
         if not isinstance(self.prescale, PrescaleConfig):
             raise ConfigError("prescale", f"must be a PrescaleConfig, got {self.prescale!r}")
 

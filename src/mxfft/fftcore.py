@@ -202,26 +202,35 @@ def _out_of_range(kind: str) -> InvalidValue:
     )
 
 
-def _fft(src, plan: FftPlan, inverse: bool) -> np.ndarray:
+def _carry_pair(plan: FftPlan, values: int) -> tuple:
+    """The stage driver's two flat carry buffers, each with room for `values`
+    complex values in the plan's carry planes."""
+    planes = 1 if plan.dtype == np.complex128 else 2
+    return tuple(np.empty(planes * values, dtype=plan.dtype) for _ in range(2))
+
+
+def _fft(src, plan: FftPlan, inverse: bool, carry) -> tuple:
     """Transforms along axis 0 of C source planes, each (n, ...).
 
     Every index of a plane's trailing axes is one length-n signal; the
     driver carries them, in C order, as the batch columns of (n, batch)
-    planes.  Loads the planes in bit-reversed order into the plan's carry
-    dtype (the FP16 control rounds them to FP16 first), runs every stage into
-    ping-pong buffers and returns the (C, n, batch) result planes, which the
-    FP16 control quantizes to FP16, in place.  Raises InvalidValue if the
-    result is not finite, or, in the FP16 control, as soon as a rounding
-    leaves the FP16 range: an input or intermediate left the mode's range.
+    planes.  Loads the planes in bit-reversed order (the FP16 control rounds
+    them to FP16 first) into a contiguous (C, n, batch) prefix of carry[0]
+    and runs every stage ping-ponging between it and the same prefix of
+    carry[1]: a strided slice would make the stage views' reshape copy.
+    Returns (result, free), the prefixes holding the result planes, which
+    the FP16 control quantizes to FP16 in place, and the other one.  Raises
+    InvalidValue if the result is not finite, or, in the FP16 control, as
+    soon as a rounding leaves the FP16 range: an input or intermediate left
+    the mode's range.
     """
     kind = plan.mode.kind
-    buf = np.empty((len(src), plan.n, src[0][0].size), dtype=plan.dtype)
-    out = np.empty_like(buf)
+    shape = (len(src), plan.n, src[0][0].size)
+    buf, out = (b.reshape(-1)[: math.prod(shape)].reshape(shape) for b in carry)
     with np.errstate(over="ignore", invalid="ignore"):
         for plane, s in zip(buf, src):
-            plane.reshape(s.shape)[...] = (
-                _fp16_round(s[plan.bitrev]) if kind == "fp16" else s[plan.bitrev]
-            )
+            # a scatter through the bit reversal, an involution, is its gather
+            plane.reshape(s.shape)[plan.bitrev] = _fp16_round(np.array(s)) if kind == "fp16" else s
         stages = zip(plan.shapes, plan.twiddles[inverse], plan.multiplies[inverse])
         for shape, w, multiply in stages:
             x = buf.reshape(buf.shape[:1] + shape + buf.shape[2:])
@@ -234,7 +243,7 @@ def _fft(src, plan: FftPlan, inverse: bool) -> np.ndarray:
         raise _out_of_range(kind)
     if kind == "fp16":
         _quantize_inplace(buf, _FP16_FMT)
-    return buf
+    return buf, out
 
 
 def _planes(z: np.ndarray, plan: FftPlan) -> tuple:
@@ -436,7 +445,8 @@ def fft_1d(x, plan: FftPlan, direction: str = "forward") -> np.ndarray:
     if x.shape[0] != plan.n:
         raise ShapeError(f"expected length {plan.n}, got {x.shape[0]}")
     out = np.empty(plan.n, dtype=np.result_type(plan.dtype, np.complex64))
-    return _join(_fft(_planes(x, plan), plan, inverse)[:, :, 0], out)
+    planes, _ = _fft(_planes(x, plan), plan, inverse, _carry_pair(plan, plan.n))
+    return _join(planes[:, :, 0], out)
 
 
 # Values per call of a stack's chunks (see _chunks).  Wider calls spread the
@@ -453,13 +463,16 @@ def _chunks(stack: np.ndarray):
     return (stack[i : i + step] for i in range(0, len(stack), step))
 
 
-def fft_2d(x, plan: FftPlan, direction: str = "forward") -> np.ndarray:
+def fft_2d(x, plan: FftPlan, direction: str = "forward", out=None) -> np.ndarray:
     """Row transforms then column transforms of a square N x N grid, as complex128.
 
     x may also be a (C, N, N) stack of coils, each transformed independently
     and bit-identically to its own fft_2d.  The coils run in chunks of
     max(1, COIL_CHUNK_ELEMS // N**2), one stage-driver call per chunk and
-    pass: N=256 runs one coil per call, N=128 two, N=64 eight.
+    pass: N=256 runs one coil per call, N=128 two, N=64 eight.  Every call
+    ping-pongs through one pair of carry buffers sized for the largest chunk.
+    The result is written to `out` if given: a writeable complex128 array of
+    x's shape that is x itself or shares no memory with it.
     """
     _check_plan(plan)
     x = np.asarray(x, dtype=np.complex128)
@@ -469,15 +482,22 @@ def fft_2d(x, plan: FftPlan, direction: str = "forward") -> np.ndarray:
     if n != plan.n:
         raise UnsupportedSize(f"grid size {n} does not match plan size {plan.n}")
     inverse = _is_inverse(direction)
+    if out is None:
+        out = np.empty(x.shape, dtype=np.complex128)
+    elif not (isinstance(out, np.ndarray) and out.dtype == np.complex128
+              and out.shape == x.shape and out.flags.writeable):
+        raise ConfigError("out", f"must be a writeable complex128 array of shape {x.shape}")
+    elif out is not x and np.may_share_memory(out, x):
+        raise ConfigError("out", "must be x itself or share no memory with it")
     coils = x.reshape(-1, n, n)
-    out = np.empty(coils.shape, dtype=np.complex128)
-    for xs, dst in zip(_chunks(coils), _chunks(out)):
+    carry = _carry_pair(plan, next(_chunks(coils)).size)
+    for xs, dst in zip(_chunks(coils), _chunks(out.reshape(-1, n, n))):
         c = len(xs)
         # the driver transforms along axis 0, so the row pass reads each coil
         # transposed, (l, coil, row), and returns planes (k, coil * n + row);
-        # the column pass reads them as (row, coil, k) and returns
-        # (k', coil * n + k), which is written to out[coil, k', k]
-        rows = _fft(_planes(xs.transpose(2, 0, 1), plan), plan, inverse)
-        cols = _fft(rows.reshape(-1, n, c, n).transpose(0, 3, 2, 1), plan, inverse)
+        # the column pass loads them as (row, coil, k) into the free buffer
+        # and returns (k', coil * n + k), which is written to out[coil, k', k]
+        rows, free = _fft(_planes(xs.transpose(2, 0, 1), plan), plan, inverse, carry)
+        cols, _ = _fft(rows.reshape(-1, n, c, n).transpose(0, 3, 2, 1), plan, inverse, (free, rows))
         _join(cols.reshape(-1, n, c, n).transpose(0, 2, 1, 3), dst)
-    return out.reshape(x.shape)
+    return out

@@ -12,6 +12,7 @@ import dataclasses
 import math
 import numbers
 import struct
+import sys
 
 import numpy as np
 
@@ -81,8 +82,14 @@ class RssImage:
         return self.pixels.shape[0]
 
 
+def _check_grid(grid, field: str) -> None:
+    if not isinstance(grid, ComplexGrid):
+        raise ConfigError(field, f"must be a ComplexGrid, got {type(grid).__name__}")
+
+
 def rss(grid: ComplexGrid) -> RssImage:
     """Root-sum-square coil combination: sqrt(sum_c |T_c|^2) per pixel."""
+    _check_grid(grid, "grid")
     return _rss(grid.data)
 
 
@@ -90,7 +97,9 @@ def _rss(data: np.ndarray) -> RssImage:
     """rss of (coils, n, n) complex data; raises InvalidValue if a pixel is
     not finite, which also catches non-finite data."""
     with np.errstate(over="ignore"):
-        pixels = np.sqrt(np.sum(np.abs(data) ** 2, axis=0))
+        sq = np.abs(data)
+        pixels = np.sum(np.square(sq, out=sq), axis=0)
+        np.sqrt(pixels, out=pixels)
     if not np.isfinite(pixels).all():
         raise InvalidValue(
             f"rss: the sum of squared coil magnitudes must stay within the float64 range "
@@ -101,6 +110,7 @@ def _rss(data: np.ndarray) -> RssImage:
 
 def forward_pipeline(kspace: ComplexGrid, plan: FftPlan, cfg: PrescaleConfig) -> RssImage:
     """Prescale -> per-coil forward 2-D FFT -> exact prescale undo -> RSS."""
+    _check_grid(kspace, "kspace")
     if kspace.domain != KSPACE:
         raise InvalidValue("forward_pipeline expects a k-space grid")
     return _pipeline(kspace, plan, compute_prescale(kspace.data, cfg).k)
@@ -108,6 +118,7 @@ def forward_pipeline(kspace: ComplexGrid, plan: FftPlan, cfg: PrescaleConfig) ->
 
 def roundtrip_pipeline(image: ComplexGrid, plan: FftPlan, cfg: PrescaleConfig) -> RssImage:
     """Prescale -> per-coil forward then inverse FFT, 1/N^2 in FP64 -> undo -> RSS."""
+    _check_grid(image, "image")
     if image.domain != IMAGE:
         raise InvalidValue("roundtrip_pipeline expects an image grid")
     return _pipeline(image, plan, compute_prescale(image.data, cfg).k)
@@ -118,13 +129,14 @@ def _pipeline(grid: ComplexGrid, plan: FftPlan, k: int) -> RssImage:
     coil (k-space forward; an image forward, then inverse with 1/N^2 in FP64),
     undo 2^k exactly, RSS.  The transforms raise on a non-finite result, and
     an undo that overflows is caught by the RSS check."""
-    out = fft_2d(apply_prescale(grid.data, k), plan, "forward")
+    y = apply_prescale(grid.data, k)  # the one private copy, transformed in place
+    fft_2d(y, plan, "forward", out=y)
     if grid.domain == IMAGE:
-        out = fft_2d(out, plan, "inverse")
-        out *= 1.0 / (grid.n * grid.n)
+        fft_2d(y, plan, "inverse", out=y)
+        y *= 1.0 / (grid.n * grid.n)
     with np.errstate(over="ignore"):
-        undo_prescale(out, k, out=out)
-    return _rss(out)
+        undo_prescale(y, k, out=y)
+    return _rss(y)
 
 
 # ---------------------------------------------------------------------------
@@ -156,6 +168,23 @@ def _coords(n: int):
     return np.meshgrid(ax, ax, indexing="ij")
 
 
+def _check_phantom_fields(n, coils, seed, kind, tail, noise) -> None:
+    """The phantom-parameter rule of gen_phantom and ExperimentSpec: raises
+    ConfigError naming the first bad field."""
+    if not _is_pow2(n):
+        raise ConfigError("n", f"must be an integer power of two >= 2, got {n!r}")
+    if not (isinstance(coils, numbers.Integral) and coils >= 1):
+        raise ConfigError("coils", f"must be an integer >= 1, got {coils!r}")
+    if not (isinstance(seed, numbers.Integral) and seed >= 0):
+        raise ConfigError("seed", f"must be an integer >= 0, got {seed!r}")
+    for field, value in (("tail", tail), ("noise", noise)):
+        # a bound, not math.inf: an integer beyond it does not convert to float64
+        if not (isinstance(value, numbers.Real) and 0 <= value <= sys.float_info.max):
+            raise ConfigError(field, f"must be finite and >= 0, got {value!r}")
+    if kind not in PHANTOM_KINDS:
+        raise ConfigError("kind", f"unknown phantom kind {kind!r}; known: {', '.join(PHANTOM_KINDS)}")
+
+
 def _phantom_magnitude(yy, xx, kind, rng, tail):
     rr = np.sqrt(xx**2 + yy**2)
     support = 0.5 * (1.0 + np.tanh((0.85 - rr) / 0.05))
@@ -166,14 +195,12 @@ def _phantom_magnitude(yy, xx, kind, rng, tail):
             sig = rng.uniform(0.08, 0.25)
             amp = rng.uniform(0.4, 1.0)
             mag += amp * np.exp(-((xx - cx) ** 2 + (yy - cy) ** 2) / (2 * sig**2))
-    elif kind == "bars":
+    else:  # "bars"
         theta = rng.uniform(0, np.pi)
         period = rng.uniform(0.15, 0.35)
         phase = rng.uniform(0, 2 * np.pi)
         ramp = (xx * math.cos(theta) + yy * math.sin(theta)) / period
         mag = 0.55 + 0.45 * np.tanh(4.0 * np.sin(2 * np.pi * ramp + phase))
-    else:
-        raise ConfigError("kind", f"unknown phantom kind {kind!r}; known: {', '.join(PHANTOM_KINDS)}")
     if tail > 0:
         noise = _blur(rng.standard_normal(xx.shape))
         mag = mag + tail * np.abs(noise)
@@ -234,15 +261,29 @@ def gen_phantom(
     A `tail` or `noise` whose image or k-space leaves the float64 range
     raises ConfigError naming it.
     """
-    if not _is_pow2(n):
-        raise ConfigError("n", f"must be an integer power of two >= 2, got {n!r}")
-    if not (isinstance(coils, numbers.Integral) and coils >= 1):
-        raise ConfigError("coils", f"must be an integer >= 1, got {coils!r}")
-    if not (isinstance(seed, numbers.Integral) and seed >= 0):
-        raise ConfigError("seed", f"must be an integer >= 0, got {seed!r}")
-    for field, value in (("tail", tail), ("noise", noise)):
-        if not (isinstance(value, numbers.Real) and 0 <= value < math.inf):
-            raise ConfigError(field, f"must be finite and >= 0, got {value!r}")
+    _check_phantom_fields(n, coils, seed, kind, tail, noise)
+    img, rng = _clean_image(n, coils, seed, kind, tail)
+    _check_phantom(img, "tail")
+    if noise > 0:
+        draw = np.empty(img.shape)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for part in (img.real, img.imag):  # every real draw, then every imaginary one
+                part += np.multiply(rng.standard_normal(out=draw), noise, out=draw)
+        del draw  # not held through the k-space transform
+        _check_phantom(img, "noise")
+    ksp = _kspace(img)
+    if ksp is None:
+        # blame the noise only if the noise-free k-space is in range
+        blame_noise = noise > 0 and _kspace(_clean_image(n, coils, seed, kind, tail)[0]) is not None
+        raise ConfigError(
+            "noise" if blame_noise else "tail", "too large: the phantom k-space leaves the float64 range"
+        )
+    return ComplexGrid(img, IMAGE), ComplexGrid(ksp, KSPACE)
+
+
+def _clean_image(n, coils, seed, kind, tail):
+    """The noise-free phantom coils, built in the coil-sensitivity array, and
+    the generator, positioned at the noise draws."""
     rng = np.random.default_rng(seed)
     with np.errstate(over="ignore", invalid="ignore"):
         yy, xx = _coords(n)
@@ -250,20 +291,8 @@ def gen_phantom(
         a, b, c, d = rng.uniform(-1.0, 1.0, size=4)
         phase = np.pi * (a * xx + b * yy + c * xx * yy + d * (xx**2 - yy**2))
         sens = coil_sensitivities(n, coils, seed)
-        clean = mag * np.exp(1j * phase) * sens
-        _check_phantom(clean, "tail")
-        img = clean
-        if noise > 0:
-            img = clean + noise * (
-                rng.standard_normal((coils, n, n)) + 1j * rng.standard_normal((coils, n, n))
-            )
-            _check_phantom(img, "noise")
-    ksp = _kspace(img)
-    if ksp is None:
-        # blame the noise only if the noise-free k-space is in range
-        field = "noise" if noise > 0 and _kspace(clean) is not None else "tail"
-        raise ConfigError(field, "too large: the phantom k-space leaves the float64 range")
-    return ComplexGrid(img, IMAGE), ComplexGrid(ksp, KSPACE)
+        # in this operand order: numpy's complex product is not bitwise commutative
+        return np.multiply(mag * np.exp(1j * phase), sens, out=sens), rng
 
 
 # ---------------------------------------------------------------------------

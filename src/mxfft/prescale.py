@@ -85,7 +85,8 @@ def compute_prescale(x, cfg: PrescaleConfig) -> PrescaleResult:
         m = np.abs(x.astype(np.float64))
     a_max = float(m.max())
     nz = m[m > 0]
-    p_tau = float(np.percentile(nz, cfg.tau)) if nz.size else 0.0
+    del m  # the stack's magnitudes; nz is the percentile's private copy
+    p_tau = float(np.percentile(nz, cfg.tau, overwrite_input=True)) if nz.size else 0.0
     k1 = _round_half_away(_log2(cfg.target / max(a_max, EPS)))
     k2 = math.ceil(_log2(cfg.tau_min / max(p_tau, EPS)))
     k = min(max(max(k1, k2), cfg.k_min), cfg.k_max)

@@ -116,12 +116,27 @@ class TestSpecValidation:
             (dict(seeds=3), "seeds"),
             (dict(prescale=None), "prescale"),
             (dict(prescale={"tau": 1.0}), "prescale"),
+            (dict(kind="stripes"), "kind"),
+            (dict(tail=-1.0), "tail"),
+            (dict(noise=math.nan), "noise"),
+            (dict(seeds=[0, -1]), "seed"),
+            (dict(seeds=[1.5]), "seed"),
         ],
     )
     def test_construction_raises_naming_the_field(self, kw, field):
         with pytest.raises(ConfigError, match=f"^{field}: ") as exc:
             _spec(**kw)
         assert exc.value.field == field
+
+    @pytest.mark.parametrize("input_path", [None, "grid.mxcg"])
+    def test_phantom_fields_follow_gen_phantoms_rule(self, input_path):
+        # checked when the spec is built, even where no phantom is generated
+        for kw in (dict(kind="stripes"), dict(tail=math.inf), dict(coils=0)):
+            with pytest.raises(ConfigError) as built:
+                _spec(input_path=input_path, **kw)
+            with pytest.raises(ConfigError) as generated:
+                gen_phantom(16, **(dict(coils=2, seed=0) | kw))
+            assert str(built.value) == str(generated.value)
 
     def test_spec_is_frozen_and_takes_tuple_axes(self):
         spec = _spec()

@@ -454,6 +454,61 @@ def test_multi_chunk_stack_equals_per_coil(name, n, coils, rng):
         _assert_stack_equals_per_coil(x, _named_plan(n, name, 32), direction)
 
 
+@pytest.mark.parametrize("coils", [1, 2, 3])  # at N=128: one chunk of 1, one of 2, 2 + 1
+@pytest.mark.parametrize("name", MODE_NAMES)
+def test_out_equals_a_new_result(name, coils, rng):
+    x = rng.standard_normal((coils, 128, 128)) + 1j * rng.standard_normal((coils, 128, 128))
+    plan = _named_plan(128, name, 32)
+    for direction in ("forward", "inverse"):
+        want = fft_2d(x, plan, direction)
+        out = np.full_like(x, np.nan)
+        assert fft_2d(x, plan, direction, out=out) is out
+        in_place = x.copy()
+        assert fft_2d(in_place, plan, direction, out=in_place) is in_place
+        for got in (out, in_place):
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_out_of_a_single_grid_and_of_a_strided_view(rng):
+    plan = _named_plan(16, "e4m3", 32)
+    x = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+    want = fft_2d(x, plan)
+    wide = np.zeros((3, 16, 32), dtype=np.complex128)
+    view = wide[1, :, ::2]
+    view[...] = x
+    assert fft_2d(view, plan, out=view) is view
+    assert np.array_equal(view.copy().view(np.uint64), want.view(np.uint64))
+    assert not wide[1, :, 1::2].any() and not wide[0].any() and not wide[2].any()
+
+
+@pytest.mark.parametrize(
+    "out",
+    [
+        np.zeros((2, 8, 8), dtype=np.complex64),
+        np.zeros((1, 8, 8), dtype=np.complex128),
+        np.zeros((2, 8, 8)),
+        [[0j] * 8] * 8,
+    ],
+)
+def test_an_out_that_cannot_hold_the_result_names_it(out):
+    x = np.ones((2, 8, 8), dtype=np.complex128)
+    with pytest.raises(ConfigError, match="^out: must be a writeable complex128 array"):
+        fft_2d(x, _named_plan(8, "reference", 32), out=out)
+
+
+def test_a_read_only_or_overlapping_out_names_it():
+    plan = _named_plan(8, "e4m3", 32)
+    x = np.ones((3, 8, 8), dtype=np.complex128)
+    frozen = np.zeros_like(x)
+    frozen.flags.writeable = False
+    with pytest.raises(ConfigError, match="^out: must be a writeable"):
+        fft_2d(x, plan, out=frozen)
+    stack = np.ones((4, 8, 8), dtype=np.complex128)
+    with pytest.raises(ConfigError, match="^out: must be x itself or share no memory"):
+        fft_2d(stack[:3], plan, out=stack[1:])
+    assert np.all(stack == 1)
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("name, big", [("reference", 1e308), ("fp16", 1e5), ("e4m3", 1e39)])
 def test_one_out_of_range_coil_raises_as_it_does_alone(name, big, rng):

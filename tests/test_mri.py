@@ -38,6 +38,7 @@ from mxfft import fftcore
 from mxfft.cli import MODE_NAMES
 from mxfft.mri import PHANTOM_KINDS
 
+import phantom_oracle
 from conftest import COILS, PHANTOM, rss_of
 
 CFG = PrescaleConfig()
@@ -149,6 +150,19 @@ class TestForwardPipeline:
             plan = make_plan(8, ModeSpec.reference())
         with pytest.raises(ConfigError, match=f"^{field}: "):
             pipeline(g, plan, cfg)
+
+    @pytest.mark.parametrize("data", [np.ones((1, 8, 8), dtype=complex), None, "kspace"])
+    @pytest.mark.parametrize(
+        "call, field",
+        [
+            (lambda g: forward_pipeline(g, make_plan(8, ModeSpec.reference()), CFG), "kspace"),
+            (lambda g: roundtrip_pipeline(g, make_plan(8, ModeSpec.reference()), CFG), "image"),
+            (rss, "grid"),
+        ],
+    )
+    def test_an_input_that_is_not_a_grid_names_it(self, call, field, data):
+        with pytest.raises(ConfigError, match=f"^{field}: must be a ComplexGrid"):
+            call(data)
 
     def test_overflowing_undo_is_a_typed_error(self):
         # the transform of the prescaled grid is in range, but undoing a
@@ -295,6 +309,8 @@ class TestPhantom:
             (dict(coils=2.0), "coils"),
             (dict(tail="0.2"), "tail"),
             (dict(noise=None), "noise"),
+            (dict(tail=10**400), "tail"),
+            (dict(noise=10**309), "noise"),
         ],
     )
     def test_rejects_bad_texture_and_seed_naming_the_field(self, kw, field):
@@ -323,6 +339,16 @@ class TestPhantom:
     def test_overflowing_kspace_names_the_field(self, kw, field):
         with pytest.raises(ConfigError, match=f"^{field}: .*k-space leaves the float64 range"):
             gen_phantom(16, 1, 0, **kw)
+
+    @pytest.mark.parametrize("kind", PHANTOM_KINDS)
+    @pytest.mark.parametrize("tail, noise", [(0.2, 0.1), (0.0, 0.0), (0.0, 0.5), (1.5, 0.0)])
+    @pytest.mark.parametrize("n, coils, seed", [(2, 1, 3), (16, 2, 0), (64, 3, 11), (128, 4, 5), (256, 5, 2)])
+    def test_equals_the_frozen_expression(self, n, coils, seed, kind, tail, noise):
+        # the image is built and noised in place: every bit stays as it was
+        img, ksp = gen_phantom(n, coils, seed, kind, tail, noise)
+        want_img, want_ksp = phantom_oracle.phantom(n, coils, seed, kind, tail, noise)
+        assert np.array_equal(img.data.view(np.uint64), want_img.view(np.uint64))
+        assert np.array_equal(ksp.data.view(np.uint64), want_ksp.view(np.uint64))
 
     def test_plan_built_once_per_size(self, monkeypatch):
         built = []
