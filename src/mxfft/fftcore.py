@@ -10,7 +10,13 @@ twiddle multiply applied to each butterfly's v input:
                  format's finite range, requantized, and decoded.  Twiddles
                  are encoded once at plan time.  The add/sub operand u is
                  never quantized; butterfly sums are accumulated in FP32.
-                 Two float32 planes (real, imaginary).
+                 Two float32 planes (real, imaginary).  Every scale is a
+                 power of two, so while the values stay normal float32 the
+                 multiply runs on decoded values, with the same bits: an
+                 encode and decode, and a renormalize, requantize and
+                 decode, are each one float32 rounding at a scaled exponent
+                 floor.  Blocks near the float32 limits run in code space
+                 (see _mx_multiply).
   * FP16      -- positive control: multiplies with every intermediate
                  rounded to FP16, add/sub in FP32, inputs/outputs in FP16.
                  Two float32 planes; each op of the multiply runs in float32
@@ -271,7 +277,8 @@ def _twiddles(w: np.ndarray, shape: tuple, mode: ModeSpec):
     _, _, _, r, j = shape
     w = w.reshape(1, 1, r, j, 1)
     if mode.kind == "mx":
-        codes, scales = _mx_encode(np.stack((w.real, w.imag)), mode.fmt)
+        w = np.stack((w.real, w.imag))
+        codes, scales = _mx_encode(w, _block_amax(w), mode.fmt)
         return codes[0], codes[1], scales[0]
     if mode.kind == "fp16":
         return _quantize_inplace(np.stack((w.real, w.imag)), _FP16_FMT).astype(np.float32)
@@ -307,8 +314,10 @@ def _fp16_round(x: np.ndarray) -> np.ndarray:
 
     Raises InvalidValue where that cast gives inf or the input is not finite:
     wherever |x| > max_finite after the rounding, which does not saturate.
+    A rounding that leaves the float32 range gives inf or NaN, not a warning.
     """
-    _quantize_inplace(x, _FP16_FMT, saturate=False)
+    with np.errstate(over="ignore", invalid="ignore"):
+        _quantize_inplace(x, _FP16_FMT, saturate=False)
     if not _within(x, -_FP16_FMT.max_finite, _FP16_FMT.max_finite):  # also catches NaN
         raise _out_of_range("fp16")
     return x
@@ -360,8 +369,17 @@ def _within(a, lo: float, hi: float) -> bool:
     return bool(a.min() >= lo and a.max() <= hi)
 
 
-def _mx_encode(v: np.ndarray, fmt: MinifloatFormat):
-    """Encode stacked block views v (2, G, K, R, J, batch).
+def _block_amax(v: np.ndarray) -> np.ndarray:
+    """Per-block amax of stacked block views v (2, G, K, R, J, batch), shape
+    (1, G, 1, R, 1, batch); raises InvalidValue beyond the float32 range."""
+    amax = np.abs(v).max(axis=_BLOCK_AXES, keepdims=True)
+    if not amax.max() <= _F32.max:  # also catches NaN
+        raise _out_of_range("mx")
+    return amax
+
+
+def _mx_encode(v: np.ndarray, amax: np.ndarray, fmt: MinifloatFormat):
+    """Encode stacked block views v (2, G, K, R, J, batch) with amax _block_amax(v).
 
     Returns (codes, scales): codes like v, in the product dtype, and one
     shared power-of-two scale per block over both components, shape
@@ -369,9 +387,6 @@ def _mx_encode(v: np.ndarray, fmt: MinifloatFormat):
     1/scale is a normal float32, which makes v * (1/scale) exact; otherwise,
     and for float64 input, in float64.
     """
-    amax = np.abs(v).max(axis=_BLOCK_AXES, keepdims=True)
-    if not amax.max() <= _F32.max:  # also catches NaN
-        raise _out_of_range("mx")
     scales = mxblock.block_scales(amax, fmt)
     ptype = _product_dtype(fmt)
     exact32 = v.dtype == np.float32 and _within(scales, 2.0**_F32.minexp, 2.0**-_F32.minexp)
@@ -387,10 +402,25 @@ def _mx_multiply(v: np.ndarray, w, fmt: MinifloatFormat, exact: bool = False) ->
     w holds the prequantized twiddle blocks (codes_r, codes_i, scales) in
     broadcast shapes.  Implements the mantissa-space product with per-block
     renormalization and requantization; exact=True, for a stage of
-    _unit_twiddles, decodes the products directly.
+    _unit_twiddles, skips the requantize.  A call runs in the decoded form
+    (_mx_multiply_decoded) when _decodable finds it exact there, and in the
+    code-space form (_mx_multiply_codes) otherwise: the two give the same
+    bits wherever the first runs.
     """
+    amax = _block_amax(v)
+    if v.dtype == np.float32 and _product_dtype(fmt) == np.float32:
+        sv = mxblock.block_scales(amax, fmt, np.float32)
+        if _decodable(sv, w[2], fmt):
+            return _mx_multiply_decoded(v, w, sv, fmt, exact)
+    return _mx_multiply_codes(v, amax, w, fmt, exact)
+
+
+def _mx_multiply_codes(v, amax, w, fmt: MinifloatFormat, exact: bool = False) -> np.ndarray:
+    """_mx_multiply in code space: encode, mantissa products, renormalize,
+    requantize and decode, with the scales in float64.  Exact for every
+    float32 block, the ones near the float32 limits included."""
     wr, wi, ws = w
-    y, sv = _mx_encode(v, fmt)
+    y, sv = _mx_encode(v, amax, fmt)
     p = np.empty_like(y)
     tmp = np.empty_like(y[0])
     np.multiply(wr, y[0], out=p[0])
@@ -414,6 +444,65 @@ def _mx_multiply(v: np.ndarray, w, fmt: MinifloatFormat, exact: bool = False) ->
         s_out = s_out.astype(np.float32)  # exact: a float32 power of two
     out = p if p.dtype == np.float32 else np.empty(p.shape, dtype=np.float32)
     return np.multiply(p, s_out, out=out, casting="same_kind")
+
+
+def _decodable(sv: np.ndarray, ws: np.ndarray, fmt: MinifloatFormat) -> bool:
+    """True if _mx_multiply_decoded is exact for v's block scales sv
+    (float32) and the twiddle scales ws.
+
+    Scaling by a power of two commutes with a float32 rounding while the
+    operands and the result are normal, so the decoded form equals the
+    code-space one when every value it rounds or forms is normal: the
+    products, whose nonzero magnitudes are at least 2^(2(emin - M)) * ws * sv,
+    and their shared scale t, at least that times 2^-emax; every step
+    2^(emin..emax - M) * scale of the encode (scale sv) and the requantize
+    (scale ws * sv * shift, with shift < 2^(emax + 3) as the products stay
+    below 2 * max_finite^2), its inverse and the bound max_finite * scale.
+    The format must carry codes and their products exactly in float32.
+    The bounds are Python floats: float32 scalars would overflow.
+    """
+    m, e, top = fmt.mantissa_bits, fmt.emin, fmt.emax
+    if 2 * (m + 1) > _F32.nmant + 1 or 2 * (e - m) < _F32.minexp:
+        return False
+    sv_lo, sv_hi = float(sv.min()), float(sv.max())
+    ws_lo, ws_hi = float(ws.min()), float(ws.max())
+    lo = min(sv_lo, ws_lo * sv_lo)  # least and greatest scale of a rounding
+    hi = max(sv_hi, ws_hi * sv_hi * 2.0 ** (top + 3))
+    least = min(lo * 2.0 ** (e - m), ws_lo * sv_lo * 2.0 ** (2 * (e - m) - top), 2.0 ** (m - top) / hi)
+    most = max(hi * 2.0 ** (top + 1), 2.0 ** (m - e) / lo)
+    return 2.0**_F32.minexp <= least and most <= 2.0 ** (_F32.maxexp - 1)
+
+
+def _mx_multiply_decoded(v, w, sv, fmt: MinifloatFormat, exact: bool = False) -> np.ndarray:
+    """_mx_multiply on decoded values, with float32 block scales sv of v.
+
+    Every MX scale is a power of two, so an encode then decode of v is one
+    rounding of v itself at exponent floor 2^emin * sv, bounded by
+    max_finite * sv; the decoded twiddles codes * ws are exact in float32;
+    the products of decoded values are the products of codes times ws * sv;
+    and the renormalize, requantize and decode are one rounding at floor
+    2^emin * ws * sv * shift.  This skips the v * (1/sv), p * (1/shift) and
+    decode multiplies, and keeps each per-block quantity in float32.
+    """
+    wr, wi, ws = w
+    y = _quantize_inplace(v, fmt, scale=sv, out=np.empty_like(v))
+    # decoded twiddles, exact: codes times powers of two; p = (wr*y0 - wi*y1,
+    # wr*y1 + wi*y0) as in code space, from two whole-array products
+    p = np.multiply(y, np.multiply(wr, ws, dtype=np.float32))
+    wiy = np.multiply(y, np.multiply(wi, ws, dtype=np.float32))
+    np.subtract(p[0], wiy[1], out=p[0])
+    np.add(p[1], wiy[0], out=p[1])
+    if exact:
+        return p  # v's rounded values, moved and negated
+    # the renormalize of _mx_multiply_codes scaled by ws * sv: the products'
+    # shared scale t is ws * sv times theirs, and shift >= 1 becomes
+    # scale >= ws * sv (an all-zero block keeps t = 1, which rounds it to 0
+    # all the same)
+    amax = np.abs(p, out=y).max(axis=_BLOCK_AXES, keepdims=True)
+    scale = mxblock.block_scales(amax, fmt, np.float32)
+    np.multiply(scale, 2, out=scale, where=amax > fmt.max_finite * scale)
+    np.maximum(scale, np.multiply(ws, sv, dtype=np.float32), out=scale)
+    return _quantize_inplace(p, fmt, saturate=False, scale=scale)
 
 
 # ---------------------------------------------------------------------------

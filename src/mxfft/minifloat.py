@@ -116,16 +116,25 @@ def quantize_array(values, fmt: MinifloatFormat) -> np.ndarray:
     return _quantize_inplace(x, fmt)[()]
 
 
+# per float dtype: its finfo, the unsigned integer dtype of its bits and the
+# exponent field's mask (looked up once: the MX stage reads them per call)
+_FLOAT_BITS = {
+    np.dtype(t): (info, np.dtype(f"u{info.bits // 8}"), ((1 << info.nexp) - 1) << info.nmant)
+    for t in (np.float32, np.float64)
+    for info in [np.finfo(t)]
+}
+
+
 def _binade(x: np.ndarray) -> np.ndarray:
     """2^floor(log2|x|) for normal x, 0 for zero or subnormal x: a new array of
     x's dtype holding x's exponent field, sign and mantissa bits masked off."""
-    info = np.finfo(x.dtype)
-    bits = x.view(f"u{x.itemsize}")
-    mask = bits.dtype.type(((1 << info.nexp) - 1) << info.nmant)
-    return np.bitwise_and(bits, mask, out=np.empty_like(bits)).view(x.dtype)
+    _, utype, mask = _FLOAT_BITS[x.dtype]
+    bits = x.view(utype)
+    return np.bitwise_and(bits, utype.type(mask), out=np.empty_like(bits)).view(x.dtype)
 
 
-def _quantize_inplace(x: np.ndarray, fmt: MinifloatFormat, saturate: bool = True) -> np.ndarray:
+def _quantize_inplace(x: np.ndarray, fmt: MinifloatFormat, saturate: bool = True,
+                      scale=None, out=None) -> np.ndarray:
     """Round a finite float32/float64 array to `fmt`, in place, in its own dtype.
 
     Skips the finiteness check (callers check once at their boundary).
@@ -136,18 +145,34 @@ def _quantize_inplace(x: np.ndarray, fmt: MinifloatFormat, saturate: bool = True
     |x| <= max_finite.  Every step and 1/step must be a normal value of x's
     dtype: true in float64 for every format, and in float32 for those that
     fftcore._product_dtype carries in float32.
+
+    `scale`, powers of two of x's dtype broadcast against x (one per MX
+    block), rounds to fmt's grid times scale instead: exponent floor
+    2^emin * scale, bound max_finite * scale.  While every step, bound and
+    1/step stays a normal value that is one rounding of x / scale to fmt,
+    times scale: a block's encode and decode at once.  `out`, if given,
+    receives the result and x is left as it is.
     """
-    info = np.finfo(x.dtype)
+    info, bits_dtype, _ = _FLOAT_BITS[x.dtype]
     mbits = info.nmant
+    floor = x.dtype.type(2.0**fmt.emin)
+    if scale is not None:
+        floor = scale * floor
+    dst = x if out is None else out
     if saturate:
-        np.clip(x, -fmt.max_finite, fmt.max_finite, out=x)
+        if scale is None:
+            np.clip(x, -fmt.max_finite, fmt.max_finite, out=dst)
+        else:  # two passes cost about a quarter of np.clip's with array bounds
+            bound = scale * x.dtype.type(fmt.max_finite)
+            np.maximum(np.minimum(x, bound, out=dst), np.negative(bound), out=dst)
+        x = dst
     binade = _binade(x)
-    np.maximum(binade, x.dtype.type(2.0**fmt.emin), out=binade)
-    bits = binade.view(f"u{x.itemsize}")
-    utype = bits.dtype.type
+    np.maximum(binade, floor, out=binade)
+    bits = binade.view(bits_dtype)
+    utype = bits_dtype.type
     step = bits - utype(fmt.mantissa_bits << mbits)
     np.subtract(utype((2 * (info.maxexp - 1) + fmt.mantissa_bits) << mbits), bits, out=bits)
-    x *= binade  # 1/step
-    np.rint(x, out=x)  # round half to even
-    x *= step.view(x.dtype)
-    return x
+    np.multiply(x, binade, out=dst)  # 1/step
+    np.rint(dst, out=dst)  # round half to even
+    dst *= step.view(x.dtype)
+    return dst

@@ -4,10 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .minifloat import MinifloatFormat, _binade
+from .minifloat import _FLOAT_BITS, MinifloatFormat, _binade
 
 
-def block_scales(amax, fmt: MinifloatFormat) -> np.ndarray:
+def block_scales(amax, fmt: MinifloatFormat, dtype=np.float64) -> np.ndarray:
     """Shared-scale rule 2^(floor(log2(amax)) - emax); 1.0 for all-zero blocks.
 
     The OCP MX v1.0 rule: it places the largest block element in
@@ -15,12 +15,13 @@ def block_scales(amax, fmt: MinifloatFormat) -> np.ndarray:
     2^(emax+1) (448 = 1.75 * 2^8 in E4M3), so elements in
     [max_finite, 2^(emax+1)) * scale saturate: in E4M3, a twiddle block whose
     largest |cos| or |sin| lies in [0.875, 1) clips it to 0.875.  Vectorized
-    over an array of per-block amax values.  Scales are held at or above
-    2^-1022, the smallest normal float64.
+    over an array of per-block amax values, computed in `dtype`: float64, or
+    float32 for the MX stage's decoded form, whose bookkeeping stays in
+    float32 (fftcore._mx_multiply).  Scales are held at or above the
+    smallest normal value of `dtype` (2^-1022 in float64, 2^-126 in float32),
+    so the two agree wherever the float32 scale is above 2^-126.
     """
-    a = np.asarray(amax, dtype=np.float64)
+    a = np.asarray(amax, dtype=dtype)
     s = _binade(a)
     s *= 2.0**-fmt.emax
-    np.maximum(s, 2.0**-1022, out=s)
-    np.copyto(s, 1.0, where=~(a > 0))
-    return s
+    return np.where(a > 0, np.maximum(s, _FLOAT_BITS[a.dtype][0].tiny, out=s), 1.0)

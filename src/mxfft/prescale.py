@@ -31,11 +31,12 @@ class PrescaleConfig:
     k_max: int = 40
 
     def __post_init__(self):
-        if not (isinstance(self.target, numbers.Real) and 0 < self.target < math.inf):
+        # a bound, not math.inf: an integer beyond it does not convert to float64
+        if not (isinstance(self.target, numbers.Real) and 0 < self.target <= sys.float_info.max):
             raise ConfigError("target", f"must be finite and > 0, got {self.target!r}")
         if not (isinstance(self.tau, numbers.Real) and 0 < self.tau < 100):
             raise ConfigError("tau", f"must be in (0, 100), got {self.tau!r}")
-        if not (isinstance(self.tau_min, numbers.Real) and 0 < self.tau_min < math.inf):
+        if not (isinstance(self.tau_min, numbers.Real) and 0 < self.tau_min <= sys.float_info.max):
             raise ConfigError("tau_min", f"must be finite and > 0, got {self.tau_min!r}")
         for field in ("k_min", "k_max"):
             k = getattr(self, field)
