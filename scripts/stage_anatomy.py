@@ -4,8 +4,9 @@
 Builds the plan of (N, mode, block) with make_plan, fills one row pass's
 carry (two float32 planes, N signals of length N, as fft_2d hands one coil
 to the stage driver) with seeded complex normal values, and calls every
-stage's multiply on its v half `--repeats` times.  Prints the median and
-the quartiles per stage, in microseconds, and their sum.
+stage's multiply on its v half `--repeats` times, the stages taking turns.
+Prints the median and the quartiles per stage, in microseconds, and their
+sum.
 
     PYTHONPATH=src python3 scripts/stage_anatomy.py --n 256 --mode e4m3 --block 32
 """
@@ -20,26 +21,30 @@ from mxfft import ModeSpec, make_plan
 
 
 def stage_times(n, mode, block, direction, repeats, seed):
-    """Per stage: (shape, exact, sorted multiply times in seconds)."""
+    """Per stage: (shape, exact, sorted multiply times in seconds).  The
+    stages take turns, one call each per round, so that a burst of load
+    from elsewhere on the machine lands on every stage alike."""
     plan = make_plan(n, ModeSpec.from_name(mode, block))
     if plan.dtype != np.float32:
         raise SystemExit(f"mode {mode!r} carries no float32 planes: its multiply is np.multiply")
     inverse = direction == "inverse"
     rng = np.random.default_rng(seed)
     carry = rng.standard_normal((2, n, n)).astype(np.float32)
-    rows = []
-    stages = zip(plan.shapes, plan.twiddles[inverse], plan.multiplies[inverse])
-    for shape, w, multiply in stages:
-        v = carry.reshape(carry.shape[:1] + shape + carry.shape[2:])[:, :, :, 1]
-        multiply(v, w)  # warm-up
-        times = []
-        for _ in range(repeats):
+    stages = [
+        (carry.reshape(carry.shape[:1] + shape + carry.shape[2:])[:, :, :, 1], w, multiply)
+        for shape, w, multiply in zip(plan.shapes, plan.twiddles[inverse], plan.multiplies[inverse])
+    ]
+    times = [[] for _ in stages]
+    for r in range(repeats + 1):  # round 0 warms up
+        for (v, w, multiply), ts in zip(stages, times):
             t0 = perf_counter()
             multiply(v, w)
-            times.append(perf_counter() - t0)
-        exact = bool(getattr(multiply, "keywords", {}).get("exact"))
-        rows.append((shape, exact, sorted(times)))
-    return rows
+            if r:
+                ts.append(perf_counter() - t0)
+    return [
+        (shape, bool(getattr(multiply, "keywords", {}).get("exact")), sorted(ts))
+        for shape, (_, _, multiply), ts in zip(plan.shapes, stages, times)
+    ]
 
 
 def main():

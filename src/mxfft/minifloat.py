@@ -149,8 +149,8 @@ def _quantize_inplace(x: np.ndarray, fmt: MinifloatFormat, saturate: bool = True
     `scale`, powers of two of x's dtype broadcast against x (one per MX
     block), rounds to fmt's grid times scale instead: exponent floor
     2^emin * scale, bound max_finite * scale.  While every step, bound and
-    1/step stays a normal value that is one rounding of x / scale to fmt,
-    times scale: a block's encode and decode at once.  `out`, if given,
+    1/step stays a normal value, the result is one rounding of x / scale to
+    fmt, times scale: a block's encode and decode at once.  `out`, if given,
     receives the result and x is left as it is.
     """
     info, bits_dtype, _ = _FLOAT_BITS[x.dtype]

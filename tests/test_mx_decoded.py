@@ -97,14 +97,6 @@ def test_each_form_is_reached_on_both_sides_of_the_bounds(fmt, block):
     for inverse in (0, 1):
         for s in (0, plan.stages - 1):
             rng = np.random.default_rng([block, s, inverse])
-            forms = dict((e, _compare(fmt, plan, inverse, s, _v(rng, plan.shapes[s], e, 0)))
-                         for e in exps)
+            forms = {e: _compare(fmt, plan, inverse, s, _v(rng, plan.shapes[s], e, 0)) for e in exps}
             assert forms[0] and not forms[exps[0]] and not forms[exps[-1]], (inverse, s)
 
-
-def test_wide_products_stay_in_code_space():
-    plan = make_plan(16, ModeSpec.mx(WIDE, 32))
-    v = _v(np.random.default_rng(0), plan.shapes[3], 0, 2)
-    sv = mxblock.block_scales(_block_amax(v), WIDE, np.float32)
-    assert not _decodable(sv, plan.twiddles[0][3][2], WIDE)
-    assert not _compare(WIDE, plan, 0, 3, v)
