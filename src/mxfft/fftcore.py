@@ -10,12 +10,12 @@ twiddle multiply applied to each butterfly's v input:
                  format's finite range, requantized, and decoded.  Twiddles
                  are encoded once at plan time.  The add/sub operand u is
                  never quantized; butterfly sums are accumulated in FP32.
-                 Two float32 planes (real, imaginary).  Every scale is a
-                 power of two, so while the values stay normal float32 the
-                 multiply runs on decoded values, with the same bits: an
+                 Two float32 planes (real, imaginary).  One body does the
+                 multiply.  Every scale is a power of two, so while values
+                 stay normal float32 it runs on decoded values, where an
                  encode and decode, and a renormalize, requantize and
-                 decode, are each one float32 rounding at a scaled exponent
-                 floor.  Blocks near the float32 limits run in code space
+                 decode, are each one rounding at a scaled exponent floor;
+                 otherwise it runs on the codes, whose scales are all 1
                  (see _mx_multiply).
   * FP16      -- positive control: multiplies with every intermediate
                  rounded to FP16, add/sub in FP32, inputs/outputs in FP16.
@@ -34,6 +34,7 @@ import dataclasses
 import functools
 import math
 import numbers
+import sys
 
 import numpy as np
 
@@ -57,6 +58,9 @@ class ModeSpec:
             raise ConfigError("kind", f"unknown mode kind {self.kind!r}; known: mx, fp16, reference")
         if self.kind == "mx" and not isinstance(self.fmt, MinifloatFormat):
             raise ConfigError("fmt", f"an MX mode needs a MinifloatFormat, got {self.fmt!r}")
+        # the stage's code products sum to at most 2 * max_finite^2 (10 exponent bits overflow)
+        if self.kind == "mx" and 2 * self.fmt.max_finite * self.fmt.max_finite > sys.float_info.max:
+            raise ConfigError("fmt", f"{self.fmt.name}: sums of code products leave the float64 range")
         if self.kind == "mx" and not _is_pow2(self.block_size):
             raise ConfigError(
                 "block_size", f"{self.block_size!r} is not an integer power of two >= 2"
@@ -278,7 +282,8 @@ def _twiddles(w: np.ndarray, shape: tuple, mode: ModeSpec):
     w = w.reshape(1, 1, r, j, 1)
     if mode.kind == "mx":
         w = np.stack((w.real, w.imag))
-        codes, scales = _mx_encode(w, _block_amax(w), mode.fmt)
+        scales = mxblock.block_scales(_block_amax(w), mode.fmt)
+        codes = _quantize_inplace(w * (1.0 / scales), mode.fmt).astype(_product_dtype(mode.fmt))
         return codes[0], codes[1], scales[0]
     if mode.kind == "fp16":
         return _quantize_inplace(np.stack((w.real, w.imag)), _FP16_FMT).astype(np.float32)
@@ -318,7 +323,7 @@ def _fp16_round(x: np.ndarray) -> np.ndarray:
     """
     with np.errstate(over="ignore", invalid="ignore"):
         _quantize_inplace(x, _FP16_FMT, saturate=False)
-    if not _within(x, -_FP16_FMT.max_finite, _FP16_FMT.max_finite):  # also catches NaN
+    if not (x.min() >= -_FP16_FMT.max_finite and x.max() <= _FP16_FMT.max_finite):  # also catches NaN
         raise _out_of_range("fp16")
     return x
 
@@ -365,10 +370,6 @@ def _product_dtype(fmt: MinifloatFormat):
     return np.float32 if narrow else np.float64
 
 
-def _within(a, lo: float, hi: float) -> bool:
-    return bool(a.min() >= lo and a.max() <= hi)
-
-
 def _block_amax(v: np.ndarray) -> np.ndarray:
     """Per-block amax of stacked block views v (2, G, K, R, J, batch), shape
     (1, G, 1, R, 1, batch); raises InvalidValue beyond the float32 range."""
@@ -378,23 +379,6 @@ def _block_amax(v: np.ndarray) -> np.ndarray:
     return amax
 
 
-def _mx_encode(v: np.ndarray, amax: np.ndarray, fmt: MinifloatFormat):
-    """Encode stacked block views v (2, G, K, R, J, batch) with amax _block_amax(v).
-
-    Returns (codes, scales): codes like v, in the product dtype, and one
-    shared power-of-two scale per block over both components, shape
-    (1, G, 1, R, 1, batch).  Float32 input is encoded in float32 when every
-    1/scale is a normal float32, which makes v * (1/scale) exact; otherwise,
-    and for float64 input, in float64.
-    """
-    scales = mxblock.block_scales(amax, fmt)
-    ptype = _product_dtype(fmt)
-    exact32 = v.dtype == np.float32 and _within(scales, 2.0**_F32.minexp, 2.0**-_F32.minexp)
-    dtype = ptype if exact32 else np.float64
-    codes = _quantize_inplace(np.multiply(v, (1.0 / scales).astype(dtype), dtype=dtype), fmt)
-    return codes.astype(ptype, copy=False), scales
-
-
 def _mx_multiply(v: np.ndarray, w, fmt: MinifloatFormat, exact: bool = False) -> np.ndarray:
     """Blockwise MX complex multiply w*v of a stage, decoded to float32.
 
@@ -402,10 +386,9 @@ def _mx_multiply(v: np.ndarray, w, fmt: MinifloatFormat, exact: bool = False) ->
     w holds the prequantized twiddle blocks (codes_r, codes_i, scales) in
     broadcast shapes.  Implements the mantissa-space product with per-block
     renormalization and requantization; exact=True, for a stage of
-    _unit_twiddles, skips the requantize.  A call runs in the decoded form
-    (_mx_multiply_decoded) when _decodable finds it exact there, and in the
-    code-space form (_mx_multiply_codes) otherwise: the two give the same
-    bits wherever the first runs.
+    _unit_twiddles, skips the requantize.  One body runs every call: on v's
+    decoded values (_mx_multiply_decoded) where _decodable finds that exact,
+    and otherwise on the codes, at unit scales (_mx_multiply_codes).
     """
     amax = _block_amax(v)
     if v.dtype == np.float32 and _product_dtype(fmt) == np.float32:
@@ -416,34 +399,18 @@ def _mx_multiply(v: np.ndarray, w, fmt: MinifloatFormat, exact: bool = False) ->
 
 
 def _mx_multiply_codes(v, amax, w, fmt: MinifloatFormat, exact: bool = False) -> np.ndarray:
-    """_mx_multiply in code space: encode, mantissa products, renormalize,
-    requantize and decode, with the scales in float64.  Exact for every
-    float32 block, the ones near the float32 limits included."""
+    """_mx_multiply in code space: the one body at unit scales, on v's codes
+    in the product dtype, between one encode and one decode with float64
+    scales.  Exact for every float32 block, near the float32 limits too."""
     wr, wi, ws = w
-    y, sv = _mx_encode(v, amax, fmt)
-    p = np.empty_like(y)
-    tmp = np.empty_like(y[0])
-    np.multiply(wr, y[0], out=p[0])
-    p[0] -= np.multiply(wi, y[1], out=tmp)
-    np.multiply(wr, y[1], out=p[1])
-    p[1] += np.multiply(wi, y[0], out=tmp)
-    if exact:
-        s_out = ws * sv  # p / shift would be v's codes: skip the requantize
-    else:
-        # renormalize blocks whose products exceed the finite range by the
-        # least power of two 2^k >= 1 with amax <= max_finite * 2^k: 2^k is t
-        # or 2t for the products' shared scale t (mxblock), and 1 in range
-        amax = np.abs(p, out=y).max(axis=_BLOCK_AXES, keepdims=True).astype(np.float64)
-        t = mxblock.block_scales(amax, fmt)
-        shift = np.maximum(np.where(amax > fmt.max_finite * t, 2 * t, t), 1.0)
-        p *= (1.0 / shift).astype(p.dtype)
-        s_out = ws * sv * shift  # powers of two; products exact
-        _quantize_inplace(p, fmt, saturate=False)  # now |p| <= max_finite
+    ptype = _product_dtype(fmt)
+    sv = mxblock.block_scales(amax, fmt)
+    # exact in float64; the cast rounds only codes that the encode flushes to 0
+    codes = np.multiply(v, 1.0 / sv).astype(ptype)
+    one = ptype(1.0)
+    p = _mx_multiply_decoded(codes, (wr, wi, one), one, fmt, exact)
     # decode: one rounding of the exact product codes * scale to float32
-    if _within(s_out, 2.0 ** (_F32.minexp - _F32.nmant), 2.0 ** (_F32.maxexp - 1)):
-        s_out = s_out.astype(np.float32)  # exact: a float32 power of two
-    out = p if p.dtype == np.float32 else np.empty(p.shape, dtype=np.float32)
-    return np.multiply(p, s_out, out=out, casting="same_kind")
+    return np.multiply(p, ws * sv, out=np.empty(p.shape, np.float32), casting="same_kind")
 
 
 def _decodable(sv: np.ndarray, ws: np.ndarray, fmt: MinifloatFormat) -> bool:
@@ -474,34 +441,32 @@ def _decodable(sv: np.ndarray, ws: np.ndarray, fmt: MinifloatFormat) -> bool:
 
 
 def _mx_multiply_decoded(v, w, sv, fmt: MinifloatFormat, exact: bool = False) -> np.ndarray:
-    """_mx_multiply on decoded values, with float32 block scales sv of v.
+    """The one body of _mx_multiply, in v's dtype, with block scales sv of v.
 
     Every MX scale is a power of two, so an encode then decode of v is one
     rounding of v itself at exponent floor 2^emin * sv, bounded by
-    max_finite * sv; the decoded twiddles codes * ws are exact in float32;
-    the products of decoded values are the products of codes times ws * sv;
-    and the renormalize, requantize and decode are one rounding at floor
-    2^emin * ws * sv * shift.  This skips the v * (1/sv), p * (1/shift) and
-    decode multiplies, and keeps each per-block quantity in float32.
+    max_finite * sv; the decoded twiddles codes * ws are exact; the products
+    of decoded values are the products of codes times ws * sv; and the
+    renormalize, requantize and decode are one rounding at floor
+    2^emin * ws * sv * shift.  On float32 values this skips three broadcast
+    multiplies; on codes every scale is 1 (_mx_multiply_codes).
     """
     wr, wi, ws = w
+    dtype = v.dtype
     y = _quantize_inplace(v, fmt, scale=sv, out=np.empty_like(v))
     # decoded twiddles, exact: codes times powers of two; p = (wr*y0 - wi*y1,
-    # wr*y1 + wi*y0) as in code space, from two whole-array products
-    p = np.multiply(y, np.multiply(wr, ws, dtype=np.float32))
-    wiy = np.multiply(y, np.multiply(wi, ws, dtype=np.float32))
+    # wr*y1 + wi*y0) from two whole-array products
+    p = np.multiply(y, np.multiply(wr, ws, dtype=dtype))
+    wiy = np.multiply(y, np.multiply(wi, ws, dtype=dtype))
     np.subtract(p[0], wiy[1], out=p[0])
     np.add(p[1], wiy[0], out=p[1])
     if exact:
         return p  # v's rounded values, moved and negated
-    # the renormalize of _mx_multiply_codes scaled by ws * sv: the products'
-    # shared scale t is ws * sv times theirs, and shift >= 1 becomes
-    # scale >= ws * sv (an all-zero block keeps t = 1, which rounds it to 0
-    # all the same)
+    # renormalize by shift >= 1, the products' fitting scale over ws * sv (an
+    # all-zero block keeps scale 1, which rounds it to 0 all the same)
     amax = np.abs(p, out=y).max(axis=_BLOCK_AXES, keepdims=True)
-    scale = mxblock.block_scales(amax, fmt, np.float32)
-    np.multiply(scale, 2, out=scale, where=amax > fmt.max_finite * scale)
-    np.maximum(scale, np.multiply(ws, sv, dtype=np.float32), out=scale)
+    scale = mxblock._fit_scales(amax, fmt, dtype)
+    np.maximum(scale, np.multiply(ws, sv, dtype=dtype), out=scale)
     return _quantize_inplace(p, fmt, saturate=False, scale=scale)
 
 
@@ -513,6 +478,15 @@ def _mx_multiply_decoded(v, w, sv, fmt: MinifloatFormat, exact: bool = False) ->
 def _check_plan(plan) -> None:
     if not isinstance(plan, FftPlan):
         raise ConfigError("plan", f"must be an FftPlan (see make_plan), got {plan!r}")
+
+
+def _complex_array(x, what: str) -> np.ndarray:
+    """x as a complex128 array, x itself if it is one; raises InvalidValue,
+    naming `what`, if numpy cannot read it as numbers."""
+    try:
+        return np.asarray(x, dtype=np.complex128)
+    except (TypeError, ValueError) as exc:
+        raise InvalidValue(f"{what} must be an array of numbers: {exc}") from None
 
 
 def _is_inverse(direction: str) -> bool:
@@ -527,7 +501,7 @@ def fft_1d(x, plan: FftPlan, direction: str = "forward") -> np.ndarray:
     Returns complex128 in reference mode and complex64 in the MX and FP16 modes.
     """
     _check_plan(plan)
-    x = np.asarray(x, dtype=np.complex128)
+    x = _complex_array(x, "x")
     if x.ndim != 1:
         raise ShapeError("fft_1d expects a 1-D vector")
     inverse = _is_inverse(direction)
@@ -564,7 +538,7 @@ def fft_2d(x, plan: FftPlan, direction: str = "forward", out=None) -> np.ndarray
     x's shape that is x itself or shares no memory with it.
     """
     _check_plan(plan)
-    x = np.asarray(x, dtype=np.complex128)
+    x = _complex_array(x, "x")
     if x.ndim not in (2, 3) or x.shape[-1] != x.shape[-2]:
         raise UnsupportedSize("fft_2d expects a square grid or a (coils, n, n) stack of them")
     n = x.shape[-1]
@@ -579,7 +553,7 @@ def fft_2d(x, plan: FftPlan, direction: str = "forward", out=None) -> np.ndarray
     elif out is not x and np.may_share_memory(out, x):
         raise ConfigError("out", "must be x itself or share no memory with it")
     coils = x.reshape(-1, n, n)
-    carry = _carry_pair(plan, next(_chunks(coils)).size)
+    carry = _carry_pair(plan, next(_chunks(coils), coils).size)  # an empty stack has no chunk
     for xs, dst in zip(_chunks(coils), _chunks(out.reshape(-1, n, n))):
         c = len(xs)
         # the driver transforms along axis 0, so the row pass reads each coil

@@ -98,7 +98,7 @@ FORMATS = {f.name: f for f in (E4M3, E5M2, E2M3, E3M2, FP16)}
 def get_format(name: str) -> MinifloatFormat:
     try:
         return FORMATS[name]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: an unhashable name
         known = ", ".join(sorted(FORMATS))
         raise ConfigError("format", f"unknown format {name!r}; known formats: {known}") from None
 
@@ -110,7 +110,10 @@ def quantize_array(values, fmt: MinifloatFormat) -> np.ndarray:
     subnormal flush to zero.  Input must be finite.
     """
     # a C-contiguous copy of the caller's values, which the in-place pass overwrites
-    x = np.array(values, dtype=np.float64, order="C")
+    try:
+        x = np.array(values, dtype=np.float64, order="C")
+    except (TypeError, ValueError) as exc:
+        raise InvalidValue(f"quantize input must be an array of real numbers: {exc}") from None
     if not np.all(np.isfinite(x)):
         raise InvalidValue("non-finite input to quantize")
     return _quantize_inplace(x, fmt)[()]

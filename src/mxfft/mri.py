@@ -26,7 +26,7 @@ from .errors import (
     ShapeError,
     TruncatedFile,
 )
-from .fftcore import FftPlan, ModeSpec, _is_pow2, fft_2d, make_plan
+from .fftcore import FftPlan, ModeSpec, _complex_array, _is_pow2, fft_2d, make_plan
 from .metrics import _correlate_valid
 from .prescale import PrescaleConfig, apply_prescale, compute_prescale, undo_prescale
 
@@ -48,10 +48,7 @@ class ComplexGrid:
     domain: str
 
     def __post_init__(self):
-        try:
-            d = np.asarray(self.data, dtype=np.complex128)
-        except (TypeError, ValueError) as exc:
-            raise InvalidValue(f"grid data must be an array of numbers: {exc}") from None
+        d = _complex_array(self.data, "grid data")
         if d.ndim != 3 or d.shape[1] != d.shape[2]:
             raise ShapeError("grid data must be (coils, n, n)")
         if d.shape[0] < 1:
@@ -306,6 +303,7 @@ _HEADER = struct.Struct("<4sIBII")  # magic, version, domain, coils, n
 
 def write_grid(grid: ComplexGrid, path) -> None:
     """Write a grid in the MXCG binary format (little-endian, FP64 pairs)."""
+    _check_grid(grid, "grid")
     domain_code = 0 if grid.domain == KSPACE else 1
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(_MAGIC, _VERSION, domain_code, grid.coils, grid.n))

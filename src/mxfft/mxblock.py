@@ -25,3 +25,12 @@ def block_scales(amax, fmt: MinifloatFormat, dtype=np.float64) -> np.ndarray:
     s = _binade(a)
     s *= 2.0**-fmt.emax
     return np.where(a > 0, np.maximum(s, _FLOAT_BITS[a.dtype][0].tiny, out=s), 1.0)
+
+
+def _fit_scales(amax, fmt: MinifloatFormat, dtype=np.float64) -> np.ndarray:
+    """The least power of two >= block_scales(amax, fmt, dtype) that holds
+    amax within max_finite times it: the OCP scale, doubled where the largest
+    element would saturate.  The MX stage renormalizes its products by it."""
+    scale = block_scales(amax, fmt, dtype)
+    np.multiply(scale, 2, out=scale, where=amax > fmt.max_finite * scale)
+    return scale

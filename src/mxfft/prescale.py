@@ -22,6 +22,11 @@ EPS = 1e-30  # guards log2 when peak or tail is zero
 K_LIMIT = 1022
 
 
+def _check_k(k, field: str) -> None:
+    if not (isinstance(k, numbers.Integral) and -K_LIMIT <= k <= K_LIMIT):
+        raise ConfigError(field, f"must be an integer in [{-K_LIMIT}, {K_LIMIT}], got {k!r}")
+
+
 @dataclasses.dataclass(frozen=True)
 class PrescaleConfig:
     target: float = 1.0
@@ -39,11 +44,7 @@ class PrescaleConfig:
         if not (isinstance(self.tau_min, numbers.Real) and 0 < self.tau_min <= sys.float_info.max):
             raise ConfigError("tau_min", f"must be finite and > 0, got {self.tau_min!r}")
         for field in ("k_min", "k_max"):
-            k = getattr(self, field)
-            if not (isinstance(k, numbers.Integral) and -K_LIMIT <= k <= K_LIMIT):
-                raise ConfigError(
-                    field, f"must be an integer in [{-K_LIMIT}, {K_LIMIT}], got {k!r}"
-                )
+            _check_k(getattr(self, field), field)
         if self.k_min > self.k_max:
             raise ConfigError("k_min", "must be <= k_max")
 
@@ -98,10 +99,13 @@ def apply_prescale(x, k: int, out=None):
     """Multiply every element by exactly 2^k, into `out` if given.
 
     Exact in binary floating point while results stay in normal FP64 range.
+    k must be an integer within +-K_LIMIT.
     """
+    _check_k(k, "k")
     return np.multiply(x, math.ldexp(1.0, k), out=out)
 
 
 def undo_prescale(x, k: int, out=None):
     """Exact inverse of apply_prescale(x, k)."""
-    return apply_prescale(x, -k, out)
+    _check_k(k, "k")
+    return np.multiply(x, math.ldexp(1.0, -k), out=out)

@@ -21,7 +21,9 @@ from mxfft import (
     UnsupportedSize,
     fft_1d,
     fft_2d,
+    get_format,
     make_plan,
+    quantize_array,
 )
 from mxfft import cli, fftcore
 from mxfft.cli import MODE_NAMES
@@ -332,6 +334,7 @@ def test_mode_from_name():
         (lambda: fft_2d(np.ones((4, 4)), make_plan(4, ModeSpec.mx(E4M3)), "backward"), "direction"),
         (lambda: make_plan(8, "e4m3"), "mode"),
         (lambda: FftPlan(8, "e4m3"), "mode"),
+        (functools.partial(get_format, ["e4m3"]), "format"),
     ],
 )
 def test_bad_modes_and_directions_name_the_field(build, field):
@@ -344,6 +347,26 @@ def test_bad_modes_and_directions_name_the_field(build, field):
 def test_a_plan_that_is_not_an_fft_plan_is_a_config_error(transform, x, plan):
     with pytest.raises(ConfigError, match="^plan: must be an FftPlan"):
         transform(x, plan)
+
+
+@pytest.mark.parametrize("policy", ["ieee", "extended", "finite"])
+def test_mx_formats_whose_code_products_overflow_float64_are_rejected(policy):
+    # a stage's sums of code products reach 2 * max_finite^2: beyond the
+    # float64 range with 10 exponent bits, within it with 9
+    e10 = MinifloatFormat("e10m3", 10, 3, policy)
+    with pytest.raises(ConfigError, match="^fmt: e10m3: "):
+        ModeSpec.mx(e10)
+    assert quantize_array([1.0, 3.0], e10).tolist() == [1.0, 3.0]  # a valid element format
+    plan = make_plan(8, ModeSpec.mx(MinifloatFormat("e9m3", 9, 3, policy)))
+    assert np.all(np.isfinite(fft_2d(np.ones((8, 8)), plan)))
+    grid = np.random.default_rng(0).standard_normal((8, 8))
+    assert np.all(np.isfinite(fft_2d(grid, plan)))
+
+
+@pytest.mark.parametrize("transform, x", [(fft_1d, "abc"), (fft_2d, "abc"), (fft_1d, [object()] * 8)])
+def test_input_that_is_not_numbers_is_a_typed_error(transform, x):
+    with pytest.raises(InvalidValue, match="^x must be an array of numbers"):
+        transform(x, make_plan(8, ModeSpec.reference()))
 
 
 def test_mode_names_and_default_block_live_with_mode_spec():
@@ -494,6 +517,14 @@ def test_an_out_that_cannot_hold_the_result_names_it(out):
     x = np.ones((2, 8, 8), dtype=np.complex128)
     with pytest.raises(ConfigError, match="^out: must be a writeable complex128 array"):
         fft_2d(x, _named_plan(8, "reference", 32), out=out)
+
+
+@pytest.mark.parametrize("name", ["reference", "fp16", "e4m3"])
+def test_an_empty_stack_gives_an_empty_result(name):
+    x = np.ones((0, 8, 8))
+    plan = _named_plan(8, name, 32)
+    for got in (fft_2d(x, plan), fft_2d(x, plan, out=np.empty((0, 8, 8), dtype=np.complex128))):
+        assert got.shape == (0, 8, 8) and got.dtype == np.fft.fft2(x).dtype == np.complex128
 
 
 def test_a_read_only_or_overlapping_out_names_it():

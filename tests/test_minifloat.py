@@ -109,6 +109,11 @@ class TestQuantize:
         with pytest.raises(InvalidValue):
             quantize_array([1.0, float("inf")], E4M3)
 
+    @pytest.mark.parametrize("values", ["x", [1j], [object()]])
+    def test_non_numeric_rejected(self, values):
+        with pytest.raises(InvalidValue, match="^quantize input must be an array of real numbers"):
+            quantize_array(values, E4M3)
+
     def test_underflow_flush(self):
         assert quantize_scalar(E4M3.min_subnormal / 4, E4M3) == 0.0
         # exact halfway below the smallest subnormal rounds to even (zero)

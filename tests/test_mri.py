@@ -1,6 +1,7 @@
 """Pipelines, phantoms, and MXCG grid I/O."""
 
 import math
+import os
 import struct
 import sys
 
@@ -158,6 +159,7 @@ class TestForwardPipeline:
             (lambda g: forward_pipeline(g, make_plan(8, ModeSpec.reference()), CFG), "kspace"),
             (lambda g: roundtrip_pipeline(g, make_plan(8, ModeSpec.reference()), CFG), "image"),
             (rss, "grid"),
+            (lambda g: write_grid(g, os.devnull), "grid"),
         ],
     )
     def test_an_input_that_is_not_a_grid_names_it(self, call, field, data):

@@ -164,6 +164,13 @@ class TestApplyUndo:
         x = np.array([0.25 + 0.0j])
         assert np.abs(apply_prescale(x, 2)).max() == 1.0
 
+    @pytest.mark.parametrize("k", [5000, 1100, -1023, 1.0, 2.5, None])
+    def test_k_outside_the_integer_limit_names_it(self, k):
+        # 2^5000 overflows math.ldexp; 2^-1100 would silently zero the data
+        for call in (apply_prescale, undo_prescale):
+            with pytest.raises(ConfigError, match="^k: must be an integer in"):
+                call(np.ones(4), k)
+
     @pytest.mark.parametrize("k", [-64, -17, -3, 0, 3, 17, 64])
     def test_roundtrip_bit_identical(self, k, rng):
         x = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
