@@ -482,11 +482,14 @@ def _check_plan(plan) -> None:
 
 def _complex_array(x, what: str) -> np.ndarray:
     """x as a complex128 array, x itself if it is one; raises InvalidValue,
-    naming `what`, if numpy cannot read it as numbers."""
+    naming `what`, unless it holds numbers: bool, integer, float or complex."""
     try:
-        return np.asarray(x, dtype=np.complex128)
+        a = np.asarray(x)
     except (TypeError, ValueError) as exc:
         raise InvalidValue(f"{what} must be an array of numbers: {exc}") from None
+    if a.dtype.kind not in "biufc":
+        raise InvalidValue(f"{what} must be an array of numbers, got dtype {a.dtype}")
+    return a.astype(np.complex128, copy=False)
 
 
 def _is_inverse(direction: str) -> bool:

@@ -109,11 +109,14 @@ def quantize_array(values, fmt: MinifloatFormat) -> np.ndarray:
     Magnitudes above max_finite saturate; magnitudes below half the smallest
     subnormal flush to zero.  Input must be finite.
     """
-    # a C-contiguous copy of the caller's values, which the in-place pass overwrites
     try:
-        x = np.array(values, dtype=np.float64, order="C")
+        a = np.asarray(values)
     except (TypeError, ValueError) as exc:
         raise InvalidValue(f"quantize input must be an array of real numbers: {exc}") from None
+    if a.dtype.kind not in "biuf":
+        raise InvalidValue(f"quantize input must be an array of real numbers, got dtype {a.dtype}")
+    # a C-contiguous copy of the caller's values, which the in-place pass overwrites
+    x = np.array(a, dtype=np.float64, order="C")
     if not np.all(np.isfinite(x)):
         raise InvalidValue("non-finite input to quantize")
     return _quantize_inplace(x, fmt)[()]

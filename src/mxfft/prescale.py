@@ -18,6 +18,7 @@ import numpy as np
 from .errors import ConfigError, InvalidValue
 
 EPS = 1e-30  # guards log2 when peak or tail is zero
+_SAMPLE = 2048  # magnitudes in the strided sample that sets the candidate threshold
 # |k| bound of the gain 2^k, so that 2^k and 2^-k are both normal FP64
 K_LIMIT = 1022
 
@@ -72,7 +73,18 @@ def _log2(ratio: float) -> float:
 
 
 def compute_prescale(x, cfg: PrescaleConfig) -> PrescaleResult:
-    """Choose the power-of-two exponent k for the array x."""
+    """Choose the power-of-two exponent k for the array x.
+
+    p_tau equals np.percentile(m[m > 0], cfg.tau) of the magnitudes m bit for
+    bit, but is read without copying out the nonzero magnitudes: zeros sort
+    first, so the two order statistics that numpy's "linear" rule interpolates
+    sit at ranks z + lo and z + hi of m, z its count of zeros.  Selection runs
+    on a candidate set (Floyd & Rivest, "Expected time bounds for selection",
+    CACM 1975): a sorted strided sample of about _SAMPLE magnitudes gives a
+    threshold t at about twice the fraction of m up to rank z + hi, and only
+    m[m <= t], a prefix of m in sorted order, is partitioned.  A candidate set
+    too short to hold both ranks falls back to the whole of m.
+    """
     if not isinstance(cfg, PrescaleConfig):
         raise ConfigError("cfg", f"must be a PrescaleConfig, got {cfg!r}")
     x = np.asarray(x)
@@ -80,15 +92,34 @@ def compute_prescale(x, cfg: PrescaleConfig) -> PrescaleResult:
         raise InvalidValue(f"prescale input must be numeric, got dtype {x.dtype}")
     if x.size == 0:
         raise InvalidValue("empty input to prescale")
-    if not np.all(np.isfinite(x)):
-        raise InvalidValue("non-finite input to prescale")
-    m = np.abs(x)
     if x.dtype.kind == "i":  # np.abs wraps a signed type's minimum onto itself
-        m = np.abs(x.astype(np.float64))
+        x = x.astype(np.float64)
+    m = np.abs(x).reshape(-1)  # private: the partition reorders it
     a_max = float(m.max())
-    nz = m[m > 0]
-    del m  # the stack's magnitudes; nz is the percentile's private copy
-    p_tau = float(np.percentile(nz, cfg.tau, overwrite_input=True)) if nz.size else 0.0
+    # a finite complex value may still have an infinite magnitude
+    if not math.isfinite(a_max) and not np.all(np.isfinite(x)):
+        raise InvalidValue("non-finite input to prescale")
+    z = int(np.count_nonzero(m == 0))  # on a bool mask: faster than on m
+    nnz = m.size - z
+    p_tau = 0.0
+    if nnz:
+        # np.percentile's rank among the nonzero magnitudes, in tau's dtype;
+        # from the last rank on, it reads the last value at both ends
+        v = (nnz - 1) * np.true_divide(cfg.tau, 100)
+        lo = nnz - 1 if v >= nnz - 1 else int(np.floor(v))
+        hi = min(lo + 1, nnz - 1)
+        s = np.sort(m[:: (m.size // _SAMPLE) | 1])  # an odd stride: no grid aliasing
+        # + 4: a margin where the sample holds few values up to the target rank
+        t = s[min(2 * (z + hi + 1) * s.size // m.size + 4, s.size - 1)]
+        sub = m.compress(m <= t)
+        if sub.size <= z + hi:
+            sub = m
+        sub.partition([z + lo, z + hi])
+        # np.quantile of the pair at gamma runs np.percentile's lerp and dtype
+        # rules; a Python tau gives a weak gamma there too
+        gamma = v - lo
+        pair = sub[[z + lo, z + hi]]
+        p_tau = float(np.quantile(pair, float(gamma) if type(cfg.tau) in (int, float) else gamma))
     k1 = _round_half_away(_log2(cfg.target / max(a_max, EPS)))
     k2 = math.ceil(_log2(cfg.tau_min / max(p_tau, EPS)))
     k = min(max(max(k1, k2), cfg.k_min), cfg.k_max)
@@ -99,10 +130,15 @@ def apply_prescale(x, k: int, out=None):
     """Multiply every element by exactly 2^k, into `out` if given.
 
     Exact in binary floating point while results stay in normal FP64 range.
-    k must be an integer within +-K_LIMIT.
+    k must be an integer within +-K_LIMIT; a result beyond the FP64 range
+    raises InvalidValue.
     """
     _check_k(k, "k")
-    return np.multiply(x, math.ldexp(1.0, k), out=out)
+    try:
+        with np.errstate(over="raise"):
+            return np.multiply(x, math.ldexp(1.0, k), out=out)
+    except FloatingPointError:
+        raise InvalidValue(f"prescale by 2^{k} overflows the float64 range") from None
 
 
 def undo_prescale(x, k: int, out=None):

@@ -369,6 +369,19 @@ def test_input_that_is_not_numbers_is_a_typed_error(transform, x):
         transform(x, make_plan(8, ModeSpec.reference()))
 
 
+@pytest.mark.parametrize("x", [["1", "2"], np.array([1, 2], dtype=object), np.array([b"1", b"2"])])
+def test_input_of_a_non_numeric_dtype_is_rejected(x):
+    # numpy would parse the strings and cast the objects; the dtype kind is checked first
+    with pytest.raises(InvalidValue, match="^x must be an array of numbers, got dtype"):
+        fft_1d(x, make_plan(2, ModeSpec.reference()))
+
+
+def test_complex128_input_is_not_copied():
+    x = np.ones(4, dtype=np.complex128)
+    assert fftcore._complex_array(x, "x") is x
+    assert fftcore._complex_array([True, 1, 2.5, 1j], "x").tolist() == [1, 1, 2.5, 1j]
+
+
 def test_mode_names_and_default_block_live_with_mode_spec():
     assert cli.MODE_NAMES is fftcore.MODE_NAMES
     assert all(ModeSpec.from_name(name) for name in MODE_NAMES)

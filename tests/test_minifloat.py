@@ -114,6 +114,20 @@ class TestQuantize:
         with pytest.raises(InvalidValue, match="^quantize input must be an array of real numbers"):
             quantize_array(values, E4M3)
 
+    @pytest.mark.parametrize(
+        "values, kind",
+        [(np.array([1 + 1j]), "complex128"), (["1.5"], "<U3"), ([10**400], "object"), (np.array([1.0], dtype=object), "object")],
+        ids=["complex-ndarray", "numeric-string", "huge-int", "object-ndarray"],
+    )
+    def test_dtype_kind_that_is_not_real_is_rejected(self, values, kind):
+        # no ComplexWarning and no string parse: the dtype kind is checked first
+        with pytest.raises(InvalidValue, match=f"^quantize input must be an array of real numbers, got dtype {kind}$"):
+            quantize_array(values, E4M3)
+
+    def test_bool_integer_and_float_input_are_read(self):
+        assert quantize_array([True, 2, 0.3], E4M3).tolist() == [1.0, 2.0, 0.3125]
+        assert quantize_array(np.arange(3, dtype=np.uint8), E4M3).tolist() == [0.0, 1.0, 2.0]
+
     def test_underflow_flush(self):
         assert quantize_scalar(E4M3.min_subnormal / 4, E4M3) == 0.0
         # exact halfway below the smallest subnormal rounds to even (zero)

@@ -100,6 +100,10 @@ class TestComplexGrid:
         with pytest.raises(InvalidValue, match="^grid data must be an array of numbers"):
             ComplexGrid(data, "kspace")
 
+    def test_string_data_is_not_parsed(self):
+        with pytest.raises(InvalidValue, match="^grid data must be an array of numbers, got dtype <U3$"):
+            ComplexGrid(np.full((1, 4, 4), "1.5"), "kspace")
+
     @pytest.mark.parametrize("shape, field", [((0, 4, 4), "coils"), ((1, 0, 0), "n")])
     def test_rejects_empty(self, shape, field):
         with pytest.raises(ShapeError, match=f"^{field}: "):

@@ -1,18 +1,25 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import prescale_oracle
 from mxfft import (
+    ComplexGrid,
     ConfigError,
     InvalidValue,
+    ModeSpec,
     PrescaleConfig,
     apply_prescale,
     compute_prescale,
+    forward_pipeline,
+    make_plan,
     undo_prescale,
 )
+from mxfft.prescale import _SAMPLE
 
 CFG = PrescaleConfig()
 
@@ -186,3 +193,142 @@ def test_pow2_input_shifts_k1(j):
     base = compute_prescale(x, CFG)
     shifted = compute_prescale(apply_prescale(x, j), CFG)
     assert shifted.k1 == base.k1 - j
+
+
+class TestApplyOverflow:
+    def test_overflow_is_a_typed_error_and_no_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidValue, match="^prescale by 2\\^40 overflows"):
+                apply_prescale(np.array([1e300]), 40)
+
+    def test_pipeline_overflow_is_a_typed_error_and_no_warning(self):
+        # the tail lifts k to k_max = 40, which takes the one large sample past the float64 max
+        data = np.full((1, 8, 8), 1e-300 + 0j)
+        data[0, 0, 0] = 1e300
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidValue, match="^prescale by 2\\^40 overflows"):
+                forward_pipeline(ComplexGrid(data, "kspace"), make_plan(8, ModeSpec.from_name("e4m3")), CFG)
+
+
+# ---------------------------------------------------------------------------
+# compute_prescale equals the frozen np.percentile version, field for field
+# ---------------------------------------------------------------------------
+
+ORACLE_DTYPES = [np.complex128, np.complex64, np.float64, np.float32, np.float16, np.int8, np.int32, np.uint16]
+
+
+def _outcome(x, cfg):
+    """(package result or error, oracle result or error)"""
+    out = []
+    for f in (compute_prescale, prescale_oracle.compute_prescale):
+        try:
+            out.append(f(x, cfg))
+        except InvalidValue as exc:
+            out.append((type(exc), str(exc)))
+    return out
+
+
+def _assert_matches_oracle(x, cfg=CFG):
+    got, want = _outcome(x, cfg)
+    assert got == want
+    return got
+
+
+@given(
+    dtype=st.sampled_from(ORACLE_DTYPES),
+    size=st.one_of(st.integers(1, 64), st.integers(1, 70_000)),
+    zero_share=st.sampled_from([0.0, 0.0, 0.01, 0.3, 0.9, 0.999, 1.0]),
+    repeats=st.booleans(),
+    decades=st.floats(-6, 6),
+    tau=st.one_of(st.sampled_from([1e-6, 0.5, 1.0, 50.0, 99.0, 99.9999]), st.floats(1e-6, 99.9999)),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=200, deadline=None)
+def test_matches_frozen_percentile_oracle(dtype, size, zero_share, repeats, decades, tau, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.integers(-3, 4, size).astype(float) if repeats else rng.standard_normal(size)
+    x *= 10.0**decades
+    if np.dtype(dtype).kind == "c":
+        x = x + 1j * rng.standard_normal(size) * 10.0**decades
+    x[rng.random(size) < zero_share] = 0
+    if np.dtype(dtype).kind in "iu":
+        info = np.iinfo(dtype)
+        x = np.clip(np.round(x.real), info.min, info.max)
+    with np.errstate(over="ignore"):  # float16 saturates to inf: the typed error is compared too
+        x = x.astype(dtype)
+    _assert_matches_oracle(x, PrescaleConfig(tau=tau))
+
+
+class TestMatchesOracleCases:
+    N = 100_000
+    STRIDE = (N // _SAMPLE) | 1  # the sample's stride at this size
+
+    def test_sample_holding_only_the_smallest_forces_the_whole_array(self):
+        # the sampled magnitudes are the smallest, so the sample's threshold
+        # admits fewer values than the 1st percentile's rank
+        x = np.ones(self.N)
+        on = np.arange(0, self.N, self.STRIDE)
+        x[on] = 1e-6 * np.arange(1, on.size + 1)
+        r = _assert_matches_oracle(x)
+        assert r.p_tau < 1.0
+
+    def test_smallest_magnitudes_off_the_sample_stride(self):
+        x = np.ones(self.N)
+        off = np.setdiff1d(np.arange(self.N), np.arange(0, self.N, self.STRIDE))
+        x[off[:5000]] = 1e-6 * np.arange(1, 5001)
+        r = _assert_matches_oracle(x)
+        assert r.p_tau < 1.0
+
+    def test_all_zeros(self):
+        r = _assert_matches_oracle(np.zeros((3, 8, 8), dtype=complex))
+        assert r.p_tau == 0.0
+
+    @pytest.mark.parametrize("tau", [1e-6, 1.0, 99.9999])
+    def test_single_nonzero(self, tau):
+        x = np.zeros(1000, dtype=complex)
+        x[123] = 0.75 - 1j
+        r = _assert_matches_oracle(x, PrescaleConfig(tau=tau))
+        assert r.p_tau == r.a_max == 1.25
+
+    @pytest.mark.parametrize("tau", [1e-12, 5e-324, 1e-6])
+    def test_tau_near_zero_reads_the_two_smallest_nonzero(self, tau, rng):
+        x = rng.standard_normal(50_000)
+        x[::7] = 0
+        r = _assert_matches_oracle(x, PrescaleConfig(tau=tau))
+        smallest = np.sort(np.abs(x[x != 0]))[:2]
+        assert smallest[0] <= r.p_tau <= smallest[1]
+
+    @pytest.mark.parametrize("tau", [99.9999, 99.99999999999999, math.nextafter(100, 0)])
+    @pytest.mark.parametrize("nnz", [1, 2, 3, 10, 4097])
+    def test_tau_near_hundred_where_hi_clamps(self, tau, nnz, rng):
+        x = np.zeros(nnz + 500)
+        x[:nnz] = rng.uniform(1, 2, nnz)
+        r = _assert_matches_oracle(rng.permutation(x), PrescaleConfig(tau=tau))
+        assert r.p_tau <= r.a_max
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64])
+    def test_signed_minimum(self, dtype):
+        x = np.zeros(3000, dtype=dtype)
+        x[::3] = np.iinfo(dtype).min
+        x[1::3] = 1
+        r = _assert_matches_oracle(x)
+        assert r.a_max == -float(np.iinfo(dtype).min)
+
+    def test_numpy_typed_tau_keeps_its_dtype_rules(self, rng):
+        x = rng.standard_normal(20_000).astype(np.float32)
+        for tau in (np.float32(1.3), np.float64(1.3), 1.3, 1, np.int64(7)):
+            _assert_matches_oracle(x, PrescaleConfig(tau=tau))
+
+    def test_infinite_magnitude_of_finite_complex_input(self):
+        big = 1.7e308 + 1.7e308j  # finite parts, magnitude beyond the float64 max
+        r = _assert_matches_oracle(np.array([big, big, 1.0]))
+        assert r.a_max == math.inf
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan, complex(1, np.nan)])
+    def test_non_finite_input_error_unchanged(self, bad):
+        x = np.ones(5000, dtype=complex)
+        x[4321] = bad
+        got, want = _outcome(x, CFG)
+        assert got == want == (InvalidValue, "non-finite input to prescale")
