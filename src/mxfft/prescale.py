@@ -87,7 +87,10 @@ def compute_prescale(x, cfg: PrescaleConfig) -> PrescaleResult:
     """
     if not isinstance(cfg, PrescaleConfig):
         raise ConfigError("cfg", f"must be a PrescaleConfig, got {cfg!r}")
-    x = np.asarray(x)
+    try:
+        x = np.asarray(x)
+    except (TypeError, ValueError) as exc:
+        raise InvalidValue(f"prescale input must be numeric: {exc}") from None
     if x.dtype.kind not in "iufc":  # integer, float or complex
         raise InvalidValue(f"prescale input must be numeric, got dtype {x.dtype}")
     if x.size == 0:
@@ -117,17 +120,18 @@ def compute_prescale(x, cfg: PrescaleConfig) -> PrescaleResult:
         sub.partition([z + lo, z + hi])
         # np.quantile of the pair at gamma runs np.percentile's lerp and dtype
         # rules; a Python tau gives a weak gamma there too
-        gamma = v - lo
+        gamma = float(v - lo) if type(cfg.tau) in (int, float) else v - lo
         pair = sub[[z + lo, z + hi]]
-        p_tau = float(np.quantile(pair, float(gamma) if type(cfg.tau) in (int, float) else gamma))
+        # numpy's lerp toward an infinite upper value is NaN: read it as inf, as a_max is
+        p_tau = math.inf if math.isinf(pair[1]) else float(np.quantile(pair, gamma))
     k1 = _round_half_away(_log2(cfg.target / max(a_max, EPS)))
     k2 = math.ceil(_log2(cfg.tau_min / max(p_tau, EPS)))
     k = min(max(max(k1, k2), cfg.k_min), cfg.k_max)
     return PrescaleResult(k=k, a_max=a_max, p_tau=p_tau, k1=k1, k2=k2)
 
 
-def apply_prescale(x, k: int, out=None):
-    """Multiply every element by exactly 2^k, into `out` if given.
+def apply_prescale(x, k: int):
+    """Multiply every element by exactly 2^k, into a new array.
 
     Exact in binary floating point while results stay in normal FP64 range.
     k must be an integer within +-K_LIMIT; a result beyond the FP64 range
@@ -136,7 +140,7 @@ def apply_prescale(x, k: int, out=None):
     _check_k(k, "k")
     try:
         with np.errstate(over="raise"):
-            return np.multiply(x, math.ldexp(1.0, k), out=out)
+            return np.multiply(x, math.ldexp(1.0, k))
     except FloatingPointError:
         raise InvalidValue(f"prescale by 2^{k} overflows the float64 range") from None
 

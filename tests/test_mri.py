@@ -4,6 +4,7 @@ import math
 import os
 import struct
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -36,8 +37,8 @@ from mxfft import (
     write_grid,
 )
 from mxfft import fftcore
-from mxfft.cli import MODE_NAMES
-from mxfft.mri import PHANTOM_KINDS
+from mxfft.cli import MODE_NAMES, ExperimentSpec
+from mxfft.mri import PHANTOM_KINDS, PHANTOM_LIMIT
 
 import phantom_oracle
 from conftest import COILS, PHANTOM, rss_of
@@ -317,6 +318,12 @@ class TestPhantom:
             (dict(noise=None), "noise"),
             (dict(tail=10**400), "tail"),
             (dict(noise=10**309), "noise"),
+            (dict(n=32, coils=4, tail=sys.float_info.max), "tail"),
+            (dict(n=32, coils=4, noise=1e308), "noise"),
+            (dict(tail=1e308), "tail"),
+            (dict(noise=1e307), "noise"),
+            (dict(tail=1e307, noise=1e307), "tail"),
+            (dict(tail=1e308, noise=0.0), "tail"),
         ],
     )
     def test_rejects_bad_texture_and_seed_naming_the_field(self, kw, field):
@@ -324,27 +331,24 @@ class TestPhantom:
         with pytest.raises(ConfigError, match=f"^{field}: "):
             gen_phantom(**args)
 
-    @pytest.mark.parametrize(
-        "kw, field", [(dict(tail=sys.float_info.max), "tail"), (dict(noise=1e308), "noise")]
-    )
-    def test_overflowing_image_names_the_field(self, kw, field):
-        with pytest.raises(ConfigError, match=f"^{field}: .*float64 range"):
-            gen_phantom(32, 4, 0, **kw)
+    @pytest.mark.parametrize("field", ["tail", "noise"])
+    def test_bound_is_phantom_limit(self, field):
+        gen_phantom(16, 1, 0, **{field: PHANTOM_LIMIT})
+        with pytest.raises(ConfigError, match=f"^{field}: "):
+            gen_phantom(16, 1, 0, **{field: math.nextafter(PHANTOM_LIMIT, math.inf)})
 
-    # finite images whose k-space transform overflows: the noise is blamed
-    # only when the noise-free k-space stays in range
-    @pytest.mark.parametrize(
-        "kw, field",
-        [
-            (dict(tail=1e308), "tail"),
-            (dict(noise=1e307), "noise"),
-            (dict(tail=1e307, noise=1e307), "tail"),
-            (dict(tail=1e308, noise=0.0), "tail"),
-        ],
-    )
-    def test_overflowing_kspace_names_the_field(self, kw, field):
-        with pytest.raises(ConfigError, match=f"^{field}: .*k-space leaves the float64 range"):
-            gen_phantom(16, 1, 0, **kw)
+    @pytest.mark.parametrize("field", ["tail", "noise"])
+    def test_spec_beyond_the_limit_fails_when_built(self, field):
+        with pytest.raises(ConfigError, match=f"^{field}: "):
+            ExperimentSpec(modes=["e4m3"], sizes=[16], blocks=[32], seeds=[0], **{field: 1e300})
+
+    @pytest.mark.parametrize("kind", PHANTOM_KINDS)
+    @pytest.mark.parametrize("n", [2, 4, 8, 16, 32, 64, 128, 256])
+    def test_at_the_limit_the_phantom_is_finite_without_a_warning(self, n, kind):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            img, ksp = gen_phantom(n, 4, 0, kind, PHANTOM_LIMIT, PHANTOM_LIMIT)
+        assert np.isfinite(img.data).all() and np.isfinite(ksp.data).all()
 
     @pytest.mark.parametrize("kind", PHANTOM_KINDS)
     @pytest.mark.parametrize("tail, noise", [(0.2, 0.1), (0.0, 0.0), (0.0, 0.5), (1.5, 0.0)])

@@ -126,6 +126,22 @@ class TestComputePrescale:
         with pytest.raises(InvalidValue, match="numeric, got dtype"):
             compute_prescale(x, CFG)
 
+    @pytest.mark.parametrize("x", [[[1], [1, 2]], [1.0, [2.0, 3.0]]])
+    def test_ragged_input_rejected(self, x):
+        with pytest.raises(InvalidValue, match="^prescale input must be numeric: "):
+            compute_prescale(x, CFG)
+
+    def test_infinite_tail_magnitude_reads_inf(self):
+        # finite parts whose magnitudes all overflow: the tail pair is (inf, inf)
+        grid = ComplexGrid(np.full((1, 8, 8), 1.7e308 + 1.7e308j), "kspace")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = compute_prescale(grid.data, CFG)
+            assert (r.k, r.a_max, r.p_tau) == (CFG.k_min, math.inf, math.inf)
+            for mode in ("reference", "fp16", "e4m3"):
+                with pytest.raises(InvalidValue):
+                    forward_pipeline(grid, make_plan(8, ModeSpec.from_name(mode)), CFG)
+
     @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64])
     def test_signed_integer_minimum_matches_its_float64_copy(self, dtype):
         # np.abs maps a signed type's minimum onto itself
@@ -201,6 +217,15 @@ class TestApplyOverflow:
             warnings.simplefilter("error")
             with pytest.raises(InvalidValue, match="^prescale by 2\\^40 overflows"):
                 apply_prescale(np.array([1e300]), 40)
+
+    def test_overflow_leaves_the_input_as_it_was(self):
+        # no in-place form: numpy writes the whole product before the overflow is seen
+        x = np.array([1e300, 1.0])
+        with pytest.raises(TypeError):
+            apply_prescale(x, 40, out=x)
+        with pytest.raises(InvalidValue):
+            apply_prescale(x, 40)
+        assert x.tolist() == [1e300, 1.0]
 
     def test_pipeline_overflow_is_a_typed_error_and_no_warning(self):
         # the tail lifts k to k_max = 40, which takes the one large sample past the float64 max
