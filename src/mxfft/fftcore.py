@@ -8,7 +8,7 @@ twiddle multiply applied to each butterfly's v input:
                  multiplied in mantissa space with FP32 products,
                  renormalized if the product mantissas exceed the element
                  format's finite range, requantized, and decoded.  Twiddles
-                 are encoded once at plan time.  The add/sub operand u is
+                 are decoded once, at plan time.  The add/sub operand u is
                  never quantized; butterfly sums are accumulated in FP32.
                  Two float32 planes (real, imaginary).  One body does the
                  multiply.  Every scale is a power of two, so while values
@@ -275,16 +275,17 @@ def _twiddles(w: np.ndarray, shape: tuple, mode: ModeSpec):
     """One stage's twiddle table in the mode's format.
 
     w holds the R * J twiddles of one half-group, which every block row (g, k)
-    of the v half shares, at the broadcast shape (1, 1, R, J, 1); MX codes
-    are in the product dtype, with scales (1, 1, R, 1, 1).
+    of the v half shares, at the broadcast shape (1, 1, R, J, 1).  An MX
+    table is (decoded, ws): the stacked (re, im) decoded twiddles, codes
+    times ws, in the product dtype, and their block scales ws, shape
+    (1, 1, R, 1, 1).  The cast is exact, as are the codes decoded / ws.
     """
     _, _, _, r, j = shape
     w = w.reshape(1, 1, r, j, 1)
     if mode.kind == "mx":
         w = np.stack((w.real, w.imag))
-        scales = mxblock.block_scales(_block_amax(w), mode.fmt)
-        codes = _quantize_inplace(w * (1.0 / scales), mode.fmt).astype(_product_dtype(mode.fmt))
-        return codes[0], codes[1], scales[0]
+        ws = mxblock.block_scales(_block_amax(w), mode.fmt)
+        return _quantize_inplace(w, mode.fmt, scale=ws).astype(_product_dtype(mode.fmt)), ws[0]
     if mode.kind == "fp16":
         return _quantize_inplace(np.stack((w.real, w.imag)), _FP16_FMT).astype(np.float32)
     return w
@@ -302,11 +303,7 @@ def _unit_twiddles(w, mode: ModeSpec) -> bool:
     """
     if mode.kind == "reference":
         return False
-    if mode.kind == "mx":
-        wr, wi, ws = w
-        re, im = wr * ws, wi * ws  # exact: codes times powers of two
-    else:
-        re, im = w
+    re, im = w[0] if mode.kind == "mx" else w
     return bool(np.all((np.abs(re) + np.abs(im) == 1) & (re * im == 0)))
 
 
@@ -363,11 +360,8 @@ def _product_dtype(fmt: MinifloatFormat):
 
     FP32 products are exact-range for element formats up to 16 bits; wide
     test formats would overflow FP32 mantissa products, so they use FP64.
-    FP32 also needs half the format's smallest subnormal step to be a normal
-    float32, so that the encode's rounding never sees a float32 subnormal.
     """
-    narrow = 2 * (fmt.emax + 1) <= 126 and fmt.emin - fmt.mantissa_bits - 1 >= _F32.minexp
-    return np.float32 if narrow else np.float64
+    return np.float32 if 2 * (fmt.emax + 1) <= 126 else np.float64
 
 
 def _block_amax(v: np.ndarray) -> np.ndarray:
@@ -382,19 +376,20 @@ def _block_amax(v: np.ndarray) -> np.ndarray:
 def _mx_multiply(v: np.ndarray, w, fmt: MinifloatFormat, exact: bool = False) -> np.ndarray:
     """Blockwise MX complex multiply w*v of a stage, decoded to float32.
 
-    v is the stacked (2, G, K, R, J, batch) view of the stage's v operands;
-    w holds the prequantized twiddle blocks (codes_r, codes_i, scales) in
-    broadcast shapes.  Implements the mantissa-space product with per-block
-    renormalization and requantization; exact=True, for a stage of
-    _unit_twiddles, skips the requantize.  One body runs every call: on v's
-    decoded values (_mx_multiply_decoded) where _decodable finds that exact,
-    and otherwise on the codes, at unit scales (_mx_multiply_codes).
+    v is the stacked float32 (2, G, K, R, J, batch) view of the stage's v
+    operands; w is the stage's twiddle table (decoded, ws) (see _twiddles).
+    Implements the mantissa-space product with per-block renormalization and
+    requantization; exact=True, for a stage of _unit_twiddles, skips the
+    requantize.  One body runs every call: on v's decoded values
+    (_mx_multiply_decoded) where v's block scales lie in the format's
+    _decoded_scales window, and otherwise on the codes, at unit scales
+    (_mx_multiply_codes).
     """
     amax = _block_amax(v)
-    if v.dtype == np.float32 and _product_dtype(fmt) == np.float32:
-        sv = mxblock.block_scales(amax, fmt, np.float32)
-        if _decodable(sv, w[2], fmt):
-            return _mx_multiply_decoded(v, w, sv, fmt, exact)
+    sv = mxblock.block_scales(amax, fmt, np.float32)
+    lo, hi = _decoded_scales(fmt)
+    if lo <= sv.min() and sv.max() <= hi:
+        return _mx_multiply_decoded(v, w, sv, fmt, exact)
     return _mx_multiply_codes(v, amax, w, fmt, exact)
 
 
@@ -402,62 +397,63 @@ def _mx_multiply_codes(v, amax, w, fmt: MinifloatFormat, exact: bool = False) ->
     """_mx_multiply in code space: the one body at unit scales, on v's codes
     in the product dtype, between one encode and one decode with float64
     scales.  Exact for every float32 block, near the float32 limits too."""
-    wr, wi, ws = w
+    decoded, ws = w
     ptype = _product_dtype(fmt)
     sv = mxblock.block_scales(amax, fmt)
     # exact in float64; the cast rounds only codes that the encode flushes to 0
     codes = np.multiply(v, 1.0 / sv).astype(ptype)
     one = ptype(1.0)
-    p = _mx_multiply_decoded(codes, (wr, wi, one), one, fmt, exact)
+    p = _mx_multiply_decoded(codes, (np.divide(decoded, ws, dtype=ptype), one), one, fmt, exact)
     # decode: one rounding of the exact product codes * scale to float32
     return np.multiply(p, ws * sv, out=np.empty(p.shape, np.float32), casting="same_kind")
 
 
-def _decodable(sv: np.ndarray, ws: np.ndarray, fmt: MinifloatFormat) -> bool:
-    """True if _mx_multiply_decoded is exact for v's block scales sv
-    (float32) and the twiddle scales ws.
+@functools.cache
+def _decoded_scales(fmt: MinifloatFormat) -> tuple:
+    """The window [lo, hi] of v's float32 block scales sv on which
+    _mx_multiply_decoded is exact; empty (lo > hi) for a format whose codes
+    and their products float32 does not carry exactly.
 
     Scaling by a power of two commutes with a float32 rounding while the
     operands and the result are normal, so the decoded form equals the
-    code-space one when every value it rounds or forms is normal: the
-    products, whose nonzero magnitudes are at least 2^(2(emin - M)) * ws * sv,
-    and their shared scale t, at least that times 2^-emax; every step
-    2^(emin..emax - M) * scale of the encode (scale sv) and the requantize
-    (scale ws * sv * shift, with shift < 2^(emax + 3) as the products stay
-    below 2 * max_finite^2), its inverse and the bound max_finite * scale.
-    The format must carry codes and their products exactly in float32.
-    The bounds are Python floats: float32 scalars would overflow.
+    code-space one when every value it rounds or forms is normal.  Every
+    twiddle block's amax lies in [2^-0.5, 1], so the twiddle scale ws is
+    2^-emax or half that, and the scale of each rounding lies in
+    [ws * sv, 2^3 * sv]: sv for the encode, ws * sv * shift for the
+    requantize, with shift < 2^(emax + 3) as the products stay below
+    2 * max_finite^2.  The least value formed is a product block's shared
+    scale t, at least 2^(2(emin - M) - emax) * ws * sv; the greatest, the
+    requantize's bound max_finite * scale, below 2^(emax + 4) * sv.  Every
+    step 2^(emin..emax - M) * scale and its inverse lie between the two, as
+    M >= 1 and emin <= 0 < emax.  So a nonzero block's amax must lie in
+    [2^(3 emax + 2(M - emin) - 125), 2^124): [2^-83, 2^124) for E4M3.
     """
     m, e, top = fmt.mantissa_bits, fmt.emin, fmt.emax
-    if 2 * (m + 1) > _F32.nmant + 1 or 2 * (e - m) < _F32.minexp:
-        return False
-    sv_lo, sv_hi = float(sv.min()), float(sv.max())
-    ws_lo, ws_hi = float(ws.min()), float(ws.max())
-    lo = min(sv_lo, ws_lo * sv_lo)  # least and greatest scale of a rounding
-    hi = max(sv_hi, ws_hi * sv_hi * 2.0 ** (top + 3))
-    least = min(lo * 2.0 ** (e - m), ws_lo * sv_lo * 2.0 ** (2 * (e - m) - top), 2.0 ** (m - top) / hi)
-    most = max(hi * 2.0 ** (top + 1), 2.0 ** (m - e) / lo)
-    return 2.0**_F32.minexp <= least and most <= 2.0 ** (_F32.maxexp - 1)
+    if _product_dtype(fmt) != np.float32 or 2 * (m + 1) > _F32.nmant + 1:
+        return math.inf, 0.0
+    # t >= 2^(2(e - m) - top) * 2^(-1 - top) * lo >= 2^minexp, and
+    # 2^(top + 4) * hi <= 2^(maxexp - 1); Python floats: float32 would overflow
+    return 2.0 ** (_F32.minexp + 1 + 2 * top - 2 * (e - m)), 2.0 ** (_F32.maxexp - 5 - top)
 
 
 def _mx_multiply_decoded(v, w, sv, fmt: MinifloatFormat, exact: bool = False) -> np.ndarray:
-    """The one body of _mx_multiply, in v's dtype, with block scales sv of v.
+    """The one body of _mx_multiply, in v's dtype, with block scales sv of v
+    and a twiddle table w = (decoded, ws) in v's dtype.
 
     Every MX scale is a power of two, so an encode then decode of v is one
     rounding of v itself at exponent floor 2^emin * sv, bounded by
-    max_finite * sv; the decoded twiddles codes * ws are exact; the products
+    max_finite * sv; the decoded twiddles are codes * ws exactly; the products
     of decoded values are the products of codes times ws * sv; and the
     renormalize, requantize and decode are one rounding at floor
     2^emin * ws * sv * shift.  On float32 values this skips three broadcast
     multiplies; on codes every scale is 1 (_mx_multiply_codes).
     """
-    wr, wi, ws = w
+    (wr, wi), ws = w
     dtype = v.dtype
     y = _quantize_inplace(v, fmt, scale=sv, out=np.empty_like(v))
-    # decoded twiddles, exact: codes times powers of two; p = (wr*y0 - wi*y1,
-    # wr*y1 + wi*y0) from two whole-array products
-    p = np.multiply(y, np.multiply(wr, ws, dtype=dtype))
-    wiy = np.multiply(y, np.multiply(wi, ws, dtype=dtype))
+    # p = (wr*y0 - wi*y1, wr*y1 + wi*y0) from two whole-array products
+    p = np.multiply(y, wr)
+    wiy = np.multiply(y, wi)
     np.subtract(p[0], wiy[1], out=p[0])
     np.add(p[1], wiy[0], out=p[1])
     if exact:

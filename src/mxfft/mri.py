@@ -131,15 +131,14 @@ def roundtrip_pipeline(image: ComplexGrid, plan: FftPlan, cfg: PrescaleConfig) -
 def _pipeline(grid: ComplexGrid, plan: FftPlan, k: int) -> RssImage:
     """Both pipelines after the prescale choice: scale by 2^k, transform each
     coil (k-space forward; an image forward, then inverse with 1/N^2 in FP64),
-    undo 2^k exactly, RSS.  The transforms raise on a non-finite result, and
-    an undo that overflows is caught by the RSS check."""
+    undo 2^k exactly, RSS.  The transforms, the undo and the RSS each raise
+    InvalidValue where a value leaves their range."""
     y = apply_prescale(grid.data, k)  # the one private copy, transformed in place
     fft_2d(y, plan, "forward", out=y)
     if grid.domain == IMAGE:
         fft_2d(y, plan, "inverse", out=y)
         y *= 1.0 / (grid.n * grid.n)
-    with np.errstate(over="ignore"):
-        undo_prescale(y, k, out=y)
+    undo_prescale(y, k, out=y)
     return _rss(y)
 
 

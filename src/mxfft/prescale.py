@@ -72,6 +72,18 @@ def _log2(ratio: float) -> float:
     return math.log2(min(max(ratio, math.ulp(0.0)), sys.float_info.max))
 
 
+def _numbers(x) -> np.ndarray:
+    """x as an array; raises InvalidValue unless it holds integer, float or
+    complex numbers."""
+    try:
+        x = np.asarray(x)
+    except (TypeError, ValueError) as exc:
+        raise InvalidValue(f"prescale input must be numeric: {exc}") from None
+    if x.dtype.kind not in "iufc":
+        raise InvalidValue(f"prescale input must be numeric, got dtype {x.dtype}")
+    return x
+
+
 def compute_prescale(x, cfg: PrescaleConfig) -> PrescaleResult:
     """Choose the power-of-two exponent k for the array x.
 
@@ -87,12 +99,7 @@ def compute_prescale(x, cfg: PrescaleConfig) -> PrescaleResult:
     """
     if not isinstance(cfg, PrescaleConfig):
         raise ConfigError("cfg", f"must be a PrescaleConfig, got {cfg!r}")
-    try:
-        x = np.asarray(x)
-    except (TypeError, ValueError) as exc:
-        raise InvalidValue(f"prescale input must be numeric: {exc}") from None
-    if x.dtype.kind not in "iufc":  # integer, float or complex
-        raise InvalidValue(f"prescale input must be numeric, got dtype {x.dtype}")
+    x = _numbers(x)
     if x.size == 0:
         raise InvalidValue("empty input to prescale")
     if x.dtype.kind == "i":  # np.abs wraps a signed type's minimum onto itself
@@ -134,18 +141,25 @@ def apply_prescale(x, k: int):
     """Multiply every element by exactly 2^k, into a new array.
 
     Exact in binary floating point while results stay in normal FP64 range.
-    k must be an integer within +-K_LIMIT; a result beyond the FP64 range
-    raises InvalidValue.
+    x must hold integer, float or complex numbers and k be an integer within
+    +-K_LIMIT; a result beyond the FP64 range raises InvalidValue.
     """
-    _check_k(k, "k")
-    try:
-        with np.errstate(over="raise"):
-            return np.multiply(x, math.ldexp(1.0, k))
-    except FloatingPointError:
-        raise InvalidValue(f"prescale by 2^{k} overflows the float64 range") from None
+    return _scale(x, k)
 
 
 def undo_prescale(x, k: int, out=None):
-    """Exact inverse of apply_prescale(x, k)."""
+    """Exact inverse of apply_prescale(x, k), into `out` if given; raises as
+    apply_prescale does."""
+    return _scale(x, k, out, undo=True)
+
+
+def _scale(x, k, out=None, undo=False):
+    """x times 2^k, or 2^-k to undo the prescale: the body of both."""
     _check_k(k, "k")
-    return np.multiply(x, math.ldexp(1.0, -k), out=out)
+    x = _numbers(x)
+    try:
+        with np.errstate(over="raise"):
+            return np.multiply(x, math.ldexp(1.0, -k if undo else k), out=out)
+    except FloatingPointError:
+        what = "undo of the prescale" if undo else "prescale"
+        raise InvalidValue(f"{what} by 2^{k} overflows the float64 range") from None

@@ -1,8 +1,9 @@
 """The MX stage multiply's decoded form against its code-space form.
 
 fftcore._mx_multiply runs a call on decoded values (_mx_multiply_decoded)
-when _decodable finds every value that form rounds or forms normal in
-float32, and in code space (_mx_multiply_codes) otherwise.  Wherever the
+when v's block scales lie in the format's _decoded_scales window, where every
+value that form rounds or forms is normal in float32, and in code space
+(_mx_multiply_codes) otherwise.  Wherever the
 decoded form runs, the two must agree bit for bit (uint32 views, so the sign
 of zero counts), and the dispatcher must give the code-space bits either way.
 The inputs sit at magnitudes 2^e on both sides of the switch-over bounds,
@@ -18,7 +19,7 @@ from mxfft import E2M3, E3M2, E4M3, E5M2, FP16, MinifloatFormat, ModeSpec, make_
 from mxfft.fftcore import (
     _F32,
     _block_amax,
-    _decodable,
+    _decoded_scales,
     _mx_multiply,
     _mx_multiply_codes,
     _mx_multiply_decoded,
@@ -54,7 +55,8 @@ def _compare(fmt, plan, inverse, s, v):
     exact = _exact(plan, inverse, s)
     amax = _block_amax(v)
     sv = mxblock.block_scales(amax, fmt, np.float32)
-    decoded = _decodable(sv, w[2], fmt)
+    lo, hi = _decoded_scales(fmt)
+    decoded = bool(lo <= sv.min() and sv.max() <= hi)
     with np.errstate(over="ignore", invalid="ignore"):
         want = _mx_multiply_codes(v, amax, w, fmt, exact).view(np.uint32)
         assert np.array_equal(_mx_multiply(v, w, fmt, exact).view(np.uint32), want)
@@ -100,3 +102,23 @@ def test_each_form_is_reached_on_both_sides_of_the_bounds(fmt, block):
             forms = {e: _compare(fmt, plan, inverse, s, _v(rng, plan.shapes[s], e, 0)) for e in exps}
             assert forms[0] and not forms[exps[0]] and not forms[exps[-1]], (inverse, s)
 
+
+
+@pytest.mark.parametrize(
+    "fmt, lo, hi", [(E4M3, -83, 124), (E5M2, -48, 124), (E2M3, -113, 124), (E3M2, -105, 124)],
+    ids=lambda f: getattr(f, "name", ""),
+)
+def test_decoded_window_in_block_amax_terms(fmt, lo, hi):
+    # a nonzero block's scale is 2^(floor(log2 amax) - emax), so the scale
+    # window [s_lo, s_hi] holds the blocks with amax in [2^lo, 2^hi)
+    s_lo, s_hi = _decoded_scales(fmt)
+    assert (s_lo * 2.0**fmt.emax, s_hi * 2.0 ** (fmt.emax + 1)) == (2.0**lo, 2.0**hi)
+
+
+@pytest.mark.parametrize(
+    "fmt", [WIDE, MinifloatFormat("e7m3", 7, 3), MinifloatFormat("e4m12", 4, 12)], ids=lambda f: f.name
+)
+def test_formats_without_exact_float32_products_are_never_decoded(fmt):
+    # float64 products, or code products past 24 bits
+    lo, hi = _decoded_scales(fmt)
+    assert lo > hi

@@ -7,17 +7,30 @@ float64 for the formats whose products outgrow float32.  The frozen oracle
 tests/mx_oracle.py pins those formats' transforms bit for bit.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
-from mxfft import MinifloatFormat, ModeSpec, PrescaleConfig, cli, fftcore, fft_2d, gen_phantom, make_plan
+from mxfft import (
+    FORMATS,
+    MinifloatFormat,
+    ModeSpec,
+    PrescaleConfig,
+    cli,
+    fftcore,
+    fft_2d,
+    gen_phantom,
+    make_plan,
+    quantize_array,
+)
 from mxfft.cli import ExperimentSpec
 from mxfft.mri import forward_pipeline
 
 from test_mx_kernel import MAGNITUDES, _input, _mixed, _oracle
 
-# exponent bits 2 to 9; code products in float32 and, from E7 up or past
-# 24 product bits, in float64
+# exponent bits 2 to 9; code products in float64 from E7 up, and in float32
+# below, rounded past 24 product bits (E6M20) as the frozen oracle's are
 OFF_MENU = [
     MinifloatFormat("e6m20", 6, 20),
     MinifloatFormat("e7m3", 7, 3),
@@ -61,3 +74,26 @@ def test_shipped_modes_never_leave_the_decoded_form(monkeypatch):
         assert np.all(np.isfinite(image.pixels))
     spec = ExperimentSpec(modes=["e4m3", "e5m2", "fp16"], sizes=[128], blocks=[32], seeds=[0])
     assert {row["mode"] for row in cli.run_experiment(spec)} == {"e4m3", "e5m2", "fp16"}
+
+
+@pytest.mark.parametrize("fmt", list(FORMATS.values()) + OFF_MENU, ids=lambda f: f.name)
+def test_every_twiddle_scale_is_two_to_the_minus_emax_or_half_that(fmt):
+    # fftcore._decoded_scales rests on this: a twiddle block's amax lies in
+    # [2^-0.5, 1].  The plan's decoded tables divide by ws back to codes on
+    # the format's grid.
+    scales = {2.0**-fmt.emax, 2.0 ** (-1 - fmt.emax)}
+    for block, log_n in itertools.product([2, 8, 32, 64], range(1, 13)):
+        plan = fftcore.FftPlan(1 << log_n, ModeSpec.mx(fmt, block))
+        for decoded, ws in itertools.chain(*plan.twiddles):
+            assert set(np.unique(ws)) <= scales, (block, log_n)
+            assert decoded.dtype == fftcore._product_dtype(fmt)
+            codes = decoded / ws
+            assert np.array_equal(quantize_array(codes, fmt), codes), (block, log_n)
+
+
+def test_product_dtype_is_the_frozen_oracle_rule():
+    # tests/mx_oracle.py's mx_multiply: float32 products while 2 * (emax + 1) <= 126
+    for e, m, policy in itertools.product(range(2, 10), range(1, 53), ("ieee", "extended", "finite")):
+        fmt = MinifloatFormat("f", e, m, policy)
+        want = np.float32 if 2 * (fmt.emax + 1) <= 126 else np.float64
+        assert fftcore._product_dtype(fmt) == want, fmt

@@ -236,6 +236,36 @@ class TestApplyOverflow:
             with pytest.raises(InvalidValue, match="^prescale by 2\\^40 overflows"):
                 forward_pipeline(ComplexGrid(data, "kspace"), make_plan(8, ModeSpec.from_name("e4m3")), CFG)
 
+    @pytest.mark.parametrize("out", [False, True])
+    def test_undo_overflow_is_a_typed_error_and_no_warning(self, out):
+        x = np.array([1e300])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidValue, match="^undo of the prescale by 2\\^-40 overflows"):
+                undo_prescale(x, -40, out=x if out else None)
+
+
+@pytest.mark.parametrize("call", [apply_prescale, undo_prescale])
+class TestApplyUndoInput:
+    # the same reader, and the same messages, as compute_prescale's
+    @pytest.mark.parametrize("x", [[[1], [1, 2]], [1.0, [2.0, 3.0]]])
+    def test_ragged_input_rejected(self, call, x):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidValue, match="^prescale input must be numeric: "):
+                call(x, 0)
+
+    @pytest.mark.parametrize("x", [["a"], None, [True], np.array([1.0, None])])
+    def test_non_numeric_rejected(self, call, x):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidValue, match="^prescale input must be numeric, got dtype "):
+                call(x, 0)
+
+    @pytest.mark.parametrize("x", [[3], np.array([3], np.uint8), [1.5], [1 + 2j]])
+    def test_integer_float_and_complex_input_scale(self, call, x):
+        assert np.array_equal(call(x, 0), np.asarray(x))
+
 
 # ---------------------------------------------------------------------------
 # compute_prescale equals the frozen np.percentile version, field for field
