@@ -17,7 +17,7 @@ import time
 from pathlib import Path
 
 from . import metrics
-from .errors import ConfigError, MxfftError
+from .errors import ConfigError, MxfftError, _choice, _instance
 from .fftcore import MODE_NAMES, ModeSpec, _is_pow2, make_plan
 from .mri import (
     IMAGE,
@@ -72,24 +72,19 @@ class ExperimentSpec:
     def __post_init__(self):
         axes = {"modes": "mode", "sizes": "size", "blocks": "block size", "seeds": "seed"}
         for field, noun in axes.items():
-            axis = getattr(self, field)
-            if not isinstance(axis, (list, tuple)):
-                raise ConfigError(field, f"must be a list or tuple, got {axis!r}")
+            axis = _instance(getattr(self, field), (list, tuple), field, "a list or tuple")
             if not axis:
                 raise ConfigError(field, f"need at least one {noun}")
         for m in self.modes:
-            if m not in MODE_NAMES:
-                raise ConfigError("modes", f"unknown mode {m!r}; known: {', '.join(MODE_NAMES)}")
+            _choice(m, MODE_NAMES, "modes", "mode")
         for field in ("sizes", "blocks"):
             for n in getattr(self, field):
                 if not _is_pow2(n):
                     raise ConfigError(field, f"{n!r} is not an integer power of two >= 2")
-        if self.pipeline not in ("forward", "roundtrip"):
-            raise ConfigError("pipeline", "must be 'forward' or 'roundtrip'")
+        _choice(self.pipeline, ("forward", "roundtrip"), "pipeline", "pipeline")
         for seed in self.seeds:  # every size is already a valid n
             _check_phantom_fields(self.sizes[0], self.coils, seed, self.kind, self.tail, self.noise)
-        if not isinstance(self.prescale, PrescaleConfig):
-            raise ConfigError("prescale", f"must be a PrescaleConfig, got {self.prescale!r}")
+        _instance(self.prescale, PrescaleConfig, "prescale")
 
 
 def _mean_std(vals):

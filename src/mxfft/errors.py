@@ -1,4 +1,10 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and one reader per kind of
+public input (arrays, real numbers, names and typed configs) that raises it."""
+
+import math
+import numbers
+
+import numpy as np
 
 
 class MxfftError(Exception):
@@ -51,3 +57,41 @@ class TruncatedFile(FileFormatError):
 
 class NonFinitePayload(FileFormatError):
     pass
+
+
+def _numbers(x, kinds: str, head: str, dtype=None) -> np.ndarray:
+    """x as an array of a dtype kind in `kinds`, cast to `dtype` if given (x
+    itself if it is one); raises InvalidValue starting with `head` otherwise.
+    The kind is read first, so strings are not parsed; a cast beyond dtype's
+    range gives inf without a warning, which every caller rejects."""
+    try:
+        a = np.asarray(x)
+    except (TypeError, ValueError) as exc:
+        raise InvalidValue(f"{head}: {exc}") from None
+    if a.dtype.kind not in kinds:
+        raise InvalidValue(f"{head}, got dtype {a.dtype}")
+    with np.errstate(over="ignore"):
+        return a if dtype is None else a.astype(dtype, copy=False)
+
+
+def _real(value) -> float:
+    """A real number as a float, +-inf beyond the float range, for a range
+    check (a float16 compared with a float bound casts the bound); else NaN."""
+    try:
+        return float(value) if isinstance(value, numbers.Real) else math.nan
+    except OverflowError:  # an integer beyond the float range
+        return math.inf if value > 0 else -math.inf
+
+
+def _choice(value, choices, field: str, what: str) -> str:
+    """value if it is a str among `choices`, else ConfigError naming `field`."""
+    if isinstance(value, str) and value in choices:
+        return value
+    raise ConfigError(field, f"unknown {what} {value!r}; known: {', '.join(choices)}")
+
+
+def _instance(value, cls: type, field: str, what: str = None):
+    """value if it is a `cls`; raises ConfigError naming `field` otherwise."""
+    if isinstance(value, cls):
+        return value
+    raise ConfigError(field, f"must be {what or 'a ' + cls.__name__}, got {value!r}")

@@ -22,10 +22,12 @@ twiddle multiply applied to each butterfly's v input:
                  Two float32 planes; each op of the multiply runs in float32
                  and its result is rounded to FP16, which equals float16
                  arithmetic (see _fp16_multiply).
-A pass whose values leave the mode's range (float64, complex64, FP16) raises
-InvalidValue.  MX block sizes B must be powers of two, so that B/2-value
-blocks tile every stage's half-groups.  No normalization is applied inside
-the transforms; pipelines apply 1/N**2 where needed.
+A pass whose values leave the mode's range (float64, complex64) raises
+InvalidValue; the FP16 control raises on inputs, v operands and multiply
+results beyond FP16's range, but saturates its pass outputs to +-65504, as
+tests/fft_oracle.py does.  MX block sizes B must be powers of two, so that
+B/2-value blocks tile every stage's half-groups.  No normalization is
+applied inside the transforms; pipelines apply 1/N**2 where needed.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ import sys
 import numpy as np
 
 from . import mxblock
-from .errors import ConfigError, InvalidValue, ShapeError, UnsupportedSize
+from .errors import ConfigError, InvalidValue, ShapeError, UnsupportedSize, _choice, _instance, _numbers
 from .minifloat import FP16 as _FP16_FMT
 from .minifloat import FORMATS, MinifloatFormat, _quantize_inplace, get_format
 from .minifloat import quantize_array  # noqa: F401  (perfbench traces fftcore.quantize_array)
@@ -54,17 +56,20 @@ class ModeSpec:
     block_size: int = 32  # B: real scalars per MX block (B/2 complex values)
 
     def __post_init__(self):
-        if self.kind not in ("mx", "fp16", "reference"):
-            raise ConfigError("kind", f"unknown mode kind {self.kind!r}; known: mx, fp16, reference")
-        if self.kind == "mx" and not isinstance(self.fmt, MinifloatFormat):
-            raise ConfigError("fmt", f"an MX mode needs a MinifloatFormat, got {self.fmt!r}")
+        kind = _choice(self.kind, ("mx", "fp16", "reference"), "kind", "mode kind")
+        block = self.block_size
+        if kind != "mx":  # one spec per arithmetic: no format, the default block
+            if self.fmt is not None:
+                raise ConfigError("fmt", f"the {kind} mode takes no format, got {self.fmt!r}")
+            if not (isinstance(block, numbers.Integral) and block == ModeSpec.block_size):
+                raise ConfigError("block_size", f"the {kind} mode takes no block size, got {block!r}")
+            return
+        fmt = _instance(self.fmt, MinifloatFormat, "fmt")
         # the stage's code products sum to at most 2 * max_finite^2 (10 exponent bits overflow)
-        if self.kind == "mx" and 2 * self.fmt.max_finite * self.fmt.max_finite > sys.float_info.max:
-            raise ConfigError("fmt", f"{self.fmt.name}: sums of code products leave the float64 range")
-        if self.kind == "mx" and not _is_pow2(self.block_size):
-            raise ConfigError(
-                "block_size", f"{self.block_size!r} is not an integer power of two >= 2"
-            )
+        if 2 * fmt.max_finite * fmt.max_finite > sys.float_info.max:
+            raise ConfigError("fmt", f"{fmt.name}: sums of code products leave the float64 range")
+        if not _is_pow2(block):
+            raise ConfigError("block_size", f"{block!r} is not an integer power of two >= 2")
 
     # `block_size` in the defaults below is the field default above
     @staticmethod
@@ -82,10 +87,8 @@ class ModeSpec:
     @staticmethod
     def from_name(name: str, block_size: int = block_size) -> "ModeSpec":
         """The mode of one of MODE_NAMES; block_size applies to the MX modes."""
-        if name == "reference":
-            return ModeSpec.reference()
-        if name == "fp16":
-            return ModeSpec.fp16()
+        if _choice(name, MODE_NAMES, "format", "mode") in ("reference", "fp16"):
+            return ModeSpec(name)
         return ModeSpec.mx(get_format(name), block_size)
 
 
@@ -128,8 +131,7 @@ class FftPlan:
             raise UnsupportedSize(
                 f"transform length must be an integer power of two >= 2, got {n!r}"
             )
-        if not isinstance(mode, ModeSpec):
-            raise ConfigError("mode", f"must be a ModeSpec, got {mode!r}")
+        _instance(mode, ModeSpec, "mode")
         self.n = n = int(n)  # a numpy integer has no bit_length
         self.mode = mode
         self.stages = n.bit_length() - 1
@@ -229,10 +231,10 @@ def _fft(src, plan: FftPlan, inverse: bool, carry) -> tuple:
     and runs every stage ping-ponging between it and the same prefix of
     carry[1]: a strided slice would make the stage views' reshape copy.
     Returns (result, free), the prefixes holding the result planes, which
-    the FP16 control quantizes to FP16 in place, and the other one.  Raises
-    InvalidValue if the result is not finite, or, in the FP16 control, as
-    soon as a rounding leaves the FP16 range: an input or intermediate left
-    the mode's range.
+    the FP16 control quantizes to FP16 in place, saturating, and the other
+    one.  Raises InvalidValue if the result is not finite, or, in the FP16
+    control, as soon as an input, a v operand or a multiply's result rounds
+    beyond the FP16 range.
     """
     kind = plan.mode.kind
     shape = (len(src), plan.n, src[0][0].size)
@@ -337,19 +339,13 @@ def _fp16_multiply(v: np.ndarray, w, exact: bool = False) -> np.ndarray:
     cannot leave the FP16 range, since |w| <= 1; a rounded v or sum beyond
     it, where float16 would give inf, raises InvalidValue.
     """
-    wr, wi = w
-    vr, vi = _fp16_round(np.array(v))
-    p = np.empty((4,) + vr.shape, dtype=np.float32)
-    np.multiply(wr, vr, out=p[0])
-    np.multiply(wi, vi, out=p[1])
-    np.multiply(wr, vi, out=p[2])
-    np.multiply(wi, vr, out=p[3])
+    y = _fp16_round(np.array(v))
+    p = np.multiply(w[:, None], y)  # p[a, b] = w[a] * y[b]
     if not exact:
         _quantize_inplace(p, _FP16_FMT, saturate=False)
-    t = np.empty(v.shape, dtype=np.float32)
-    np.subtract(p[0], p[1], out=t[0])
-    np.add(p[2], p[3], out=t[1])
-    return t if exact else _fp16_round(t)
+    np.subtract(p[0, 0], p[1, 1], out=y[0])
+    np.add(p[0, 1], p[1, 0], out=y[1])
+    return y if exact else _fp16_round(y)
 
 
 _BLOCK_AXES = (0, 2, 4)  # re/im, k, j of a stacked v view (2, G, K, R, J, batch)
@@ -471,27 +467,14 @@ def _mx_multiply_decoded(v, w, sv, fmt: MinifloatFormat, exact: bool = False) ->
 # ---------------------------------------------------------------------------
 
 
-def _check_plan(plan) -> None:
-    if not isinstance(plan, FftPlan):
-        raise ConfigError("plan", f"must be an FftPlan (see make_plan), got {plan!r}")
-
-
 def _complex_array(x, what: str) -> np.ndarray:
     """x as a complex128 array, x itself if it is one; raises InvalidValue,
     naming `what`, unless it holds numbers: bool, integer, float or complex."""
-    try:
-        a = np.asarray(x)
-    except (TypeError, ValueError) as exc:
-        raise InvalidValue(f"{what} must be an array of numbers: {exc}") from None
-    if a.dtype.kind not in "biufc":
-        raise InvalidValue(f"{what} must be an array of numbers, got dtype {a.dtype}")
-    return a.astype(np.complex128, copy=False)
+    return _numbers(x, "biufc", f"{what} must be an array of numbers", np.complex128)
 
 
 def _is_inverse(direction: str) -> bool:
-    if direction not in ("forward", "inverse"):
-        raise ConfigError("direction", f"must be 'forward' or 'inverse', got {direction!r}")
-    return direction == "inverse"
+    return _choice(direction, ("forward", "inverse"), "direction", "direction") == "inverse"
 
 
 def fft_1d(x, plan: FftPlan, direction: str = "forward") -> np.ndarray:
@@ -499,7 +482,7 @@ def fft_1d(x, plan: FftPlan, direction: str = "forward") -> np.ndarray:
 
     Returns complex128 in reference mode and complex64 in the MX and FP16 modes.
     """
-    _check_plan(plan)
+    _instance(plan, FftPlan, "plan", "an FftPlan (see make_plan)")
     x = _complex_array(x, "x")
     if x.ndim != 1:
         raise ShapeError("fft_1d expects a 1-D vector")
@@ -536,7 +519,7 @@ def fft_2d(x, plan: FftPlan, direction: str = "forward", out=None) -> np.ndarray
     The result is written to `out` if given: a writeable complex128 array of
     x's shape that is x itself or shares no memory with it.
     """
-    _check_plan(plan)
+    _instance(plan, FftPlan, "plan", "an FftPlan (see make_plan)")
     x = _complex_array(x, "x")
     if x.ndim not in (2, 3) or x.shape[-1] != x.shape[-2]:
         raise UnsupportedSize("fft_2d expects a square grid or a (coils, n, n) stack of them")

@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 
-from .errors import DegenerateReference, InvalidValue, ShapeError, WindowTooLarge
+from .errors import DegenerateReference, InvalidValue, ShapeError, WindowTooLarge, _numbers
 from .fftcore import _chunks
 
 SSIM_WINDOW = 11
@@ -23,21 +23,10 @@ class MetricsReport:
     nmse: float
 
 
-def _pixels(img) -> np.ndarray:
-    """An image's pixels (an RssImage or an array) as float64; raises
-    InvalidValue unless they are real: bool, integer or float."""
-    try:
-        a = np.asarray(getattr(img, "pixels", img))
-    except (TypeError, ValueError) as exc:
-        raise InvalidValue(f"image pixels must be an array of numbers: {exc}") from None
-    if a.dtype.kind not in "biuf":
-        raise InvalidValue(f"image pixels must be real numbers, got dtype {a.dtype}")
-    return a.astype(np.float64, copy=False)
-
-
 def _check_pair(ref, test):
-    r = _pixels(ref)
-    t = _pixels(test)
+    """Both images' pixels (of RssImages or arrays) as real, finite float64."""
+    head = "image pixels must be an array of real numbers"
+    r, t = (_numbers(getattr(a, "pixels", a), "biuf", head, np.float64) for a in (ref, test))
     if r.shape != t.shape:
         raise ShapeError(f"shape mismatch: {r.shape} vs {t.shape}")
     for name, a in (("reference", r), ("test", t)):

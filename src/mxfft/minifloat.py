@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError, InvalidValue
+from .errors import ConfigError, InvalidValue, _choice, _instance, _numbers
 
 #: Special-value conventions.
 #:   "ieee"     -- top exponent code reserved for inf/NaN (E5M2, FP16)
@@ -39,12 +39,13 @@ class MinifloatFormat:
     policy: str = "finite"
 
     def __post_init__(self):
+        _instance(self.name, str, "name")  # a format is hashed: plans and caches key on it
         for field, lo, hi in (("exponent_bits", 2, 10), ("mantissa_bits", 1, 52)):
             value = getattr(self, field)
             if not isinstance(value, (int, np.integer)) or not lo <= value <= hi:
                 raise ConfigError(field, f"must be an integer in [{lo}, {hi}], got {value!r}")
-        if self.policy not in POLICIES:
-            raise ConfigError("policy", f"unknown policy {self.policy!r}; known: {', '.join(POLICIES)}")
+            object.__setattr__(self, field, int(value))  # numpy integers wrap in the bit arithmetic
+        _choice(self.policy, POLICIES, "policy", "policy")
 
     @property
     def bits(self) -> int:
@@ -96,11 +97,7 @@ FORMATS = {f.name: f for f in (E4M3, E5M2, E2M3, E3M2, FP16)}
 
 
 def get_format(name: str) -> MinifloatFormat:
-    try:
-        return FORMATS[name]
-    except (KeyError, TypeError):  # TypeError: an unhashable name
-        known = ", ".join(sorted(FORMATS))
-        raise ConfigError("format", f"unknown format {name!r}; known formats: {known}") from None
+    return FORMATS[_choice(name, sorted(FORMATS), "format", "format")]
 
 
 def quantize_array(values, fmt: MinifloatFormat) -> np.ndarray:
@@ -109,14 +106,10 @@ def quantize_array(values, fmt: MinifloatFormat) -> np.ndarray:
     Magnitudes above max_finite saturate; magnitudes below half the smallest
     subnormal flush to zero.  Input must be finite.
     """
-    try:
-        a = np.asarray(values)
-    except (TypeError, ValueError) as exc:
-        raise InvalidValue(f"quantize input must be an array of real numbers: {exc}") from None
-    if a.dtype.kind not in "biuf":
-        raise InvalidValue(f"quantize input must be an array of real numbers, got dtype {a.dtype}")
+    _instance(fmt, MinifloatFormat, "fmt")
+    a = _numbers(values, "biuf", "quantize input must be an array of real numbers", np.float64)
     # a C-contiguous copy of the caller's values, which the in-place pass overwrites
-    x = np.array(a, dtype=np.float64, order="C")
+    x = np.array(a, order="C")
     if not np.all(np.isfinite(x)):
         raise InvalidValue("non-finite input to quantize")
     return _quantize_inplace(x, fmt)[()]

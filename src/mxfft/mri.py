@@ -25,6 +25,9 @@ from .errors import (
     NonFinitePayload,
     ShapeError,
     TruncatedFile,
+    _choice,
+    _instance,
+    _real,
 )
 from .fftcore import FftPlan, ModeSpec, _complex_array, _is_pow2, fft_2d, make_plan
 from .metrics import _correlate_valid
@@ -62,7 +65,7 @@ class ComplexGrid:
             raise ShapeError("coils: a grid needs at least one coil")
         if d.shape[1] < 1:
             raise ShapeError("n: a grid needs at least one sample per side")
-        if self.domain not in (KSPACE, IMAGE):
+        if not (isinstance(self.domain, str) and self.domain in (KSPACE, IMAGE)):
             raise InvalidValue(f"unknown domain tag {self.domain!r}")
         if not np.all(np.isfinite(d)):
             raise InvalidValue("non-finite grid data")
@@ -86,15 +89,9 @@ class RssImage:
         return self.pixels.shape[0]
 
 
-def _check_grid(grid, field: str) -> None:
-    if not isinstance(grid, ComplexGrid):
-        raise ConfigError(field, f"must be a ComplexGrid, got {type(grid).__name__}")
-
-
 def rss(grid: ComplexGrid) -> RssImage:
     """Root-sum-square coil combination: sqrt(sum_c |T_c|^2) per pixel."""
-    _check_grid(grid, "grid")
-    return _rss(grid.data)
+    return _rss(_instance(grid, ComplexGrid, "grid").data)
 
 
 def _rss(data: np.ndarray) -> RssImage:
@@ -114,16 +111,14 @@ def _rss(data: np.ndarray) -> RssImage:
 
 def forward_pipeline(kspace: ComplexGrid, plan: FftPlan, cfg: PrescaleConfig) -> RssImage:
     """Prescale -> per-coil forward 2-D FFT -> exact prescale undo -> RSS."""
-    _check_grid(kspace, "kspace")
-    if kspace.domain != KSPACE:
+    if _instance(kspace, ComplexGrid, "kspace").domain != KSPACE:
         raise InvalidValue("forward_pipeline expects a k-space grid")
     return _pipeline(kspace, plan, compute_prescale(kspace.data, cfg).k)
 
 
 def roundtrip_pipeline(image: ComplexGrid, plan: FftPlan, cfg: PrescaleConfig) -> RssImage:
     """Prescale -> per-coil forward then inverse FFT, 1/N^2 in FP64 -> undo -> RSS."""
-    _check_grid(image, "image")
-    if image.domain != IMAGE:
+    if _instance(image, ComplexGrid, "image").domain != IMAGE:
         raise InvalidValue("roundtrip_pipeline expects an image grid")
     return _pipeline(image, plan, compute_prescale(image.data, cfg).k)
 
@@ -151,11 +146,13 @@ def coil_sensitivities(n: int, coils: int, seed: int) -> np.ndarray:
     """Smooth complex per-coil sensitivity maps, (coils, n, n).
 
     Each map has magnitude >= 0.6 everywhere, so the RSS of the maps alone
-    stays above 0.5 over any support.
+    stays above 0.5 over any support; n, coils and seed follow gen_phantom's
+    rule.
     """
-    rng = np.random.default_rng(seed + 7919)
+    _check_coil_fields(n, coils, seed)
+    rng = np.random.default_rng(int(seed) + 7919)  # a numpy seed would wrap at its type's top
     yy, xx = _coords(n)
-    maps = np.empty((coils, n, n), dtype=np.complex128)
+    maps = np.empty((int(coils), n, n), dtype=np.complex128)  # numpy takes no bool in a shape
     for c in range(coils):
         ang = 2.0 * np.pi * c / coils
         cx, cy = 0.6 * math.cos(ang), 0.6 * math.sin(ang)
@@ -171,20 +168,24 @@ def _coords(n: int):
     return np.meshgrid(ax, ax, indexing="ij")
 
 
-def _check_phantom_fields(n, coils, seed, kind, tail, noise) -> None:
-    """The phantom-parameter rule of gen_phantom and ExperimentSpec: raises
-    ConfigError naming the first bad field."""
+def _check_coil_fields(n, coils, seed) -> None:
+    """gen_phantom's rule for n, coils and seed: ConfigError naming the first bad one."""
     if not _is_pow2(n):
         raise ConfigError("n", f"must be an integer power of two >= 2, got {n!r}")
     if not (isinstance(coils, numbers.Integral) and coils >= 1):
         raise ConfigError("coils", f"must be an integer >= 1, got {coils!r}")
     if not (isinstance(seed, numbers.Integral) and seed >= 0):
         raise ConfigError("seed", f"must be an integer >= 0, got {seed!r}")
+
+
+def _check_phantom_fields(n, coils, seed, kind, tail, noise) -> None:
+    """The phantom-parameter rule of gen_phantom and ExperimentSpec: raises
+    ConfigError naming the first bad field."""
+    _check_coil_fields(n, coils, seed)
     for field, value in (("tail", tail), ("noise", noise)):
-        if not (isinstance(value, numbers.Real) and 0 <= value <= PHANTOM_LIMIT):
+        if not 0 <= _real(value) <= PHANTOM_LIMIT:
             raise ConfigError(field, f"must be in [0, {PHANTOM_LIMIT:.7g}], got {value!r}")
-    if kind not in PHANTOM_KINDS:
-        raise ConfigError("kind", f"unknown phantom kind {kind!r}; known: {', '.join(PHANTOM_KINDS)}")
+    _choice(kind, PHANTOM_KINDS, "kind", "phantom kind")
 
 
 def _phantom_magnitude(yy, xx, kind, rng, tail):
@@ -278,8 +279,7 @@ _HEADER = struct.Struct("<4sIBII")  # magic, version, domain, coils, n
 
 def write_grid(grid: ComplexGrid, path) -> None:
     """Write a grid in the MXCG binary format (little-endian, FP64 pairs)."""
-    _check_grid(grid, "grid")
-    domain_code = 0 if grid.domain == KSPACE else 1
+    domain_code = 0 if _instance(grid, ComplexGrid, "grid").domain == KSPACE else 1
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(_MAGIC, _VERSION, domain_code, grid.coils, grid.n))
         fh.write(np.ascontiguousarray(grid.data, dtype="<c16").tobytes())

@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from .errors import ConfigError, InvalidValue
+from .errors import ConfigError, InvalidValue, _instance, _numbers, _real
 
 EPS = 1e-30  # guards log2 when peak or tail is zero
 _SAMPLE = 2048  # magnitudes in the strided sample that sets the candidate threshold
@@ -23,9 +23,10 @@ _SAMPLE = 2048  # magnitudes in the strided sample that sets the candidate thres
 K_LIMIT = 1022
 
 
-def _check_k(k, field: str) -> None:
+def _check_k(k, field: str) -> int:
     if not (isinstance(k, numbers.Integral) and -K_LIMIT <= k <= K_LIMIT):
         raise ConfigError(field, f"must be an integer in [{-K_LIMIT}, {K_LIMIT}], got {k!r}")
+    return int(k)  # a numpy integer would wrap when negated
 
 
 @dataclasses.dataclass(frozen=True)
@@ -37,15 +38,15 @@ class PrescaleConfig:
     k_max: int = 40
 
     def __post_init__(self):
-        # a bound, not math.inf: an integer beyond it does not convert to float64
-        if not (isinstance(self.target, numbers.Real) and 0 < self.target <= sys.float_info.max):
-            raise ConfigError("target", f"must be finite and > 0, got {self.target!r}")
-        if not (isinstance(self.tau, numbers.Real) and 0 < self.tau < 100):
+        for field in ("target", "tau_min"):  # stored as floats: the gain arithmetic runs in float64
+            value = _real(getattr(self, field))
+            if not 0 < value < math.inf:
+                raise ConfigError(field, f"must be finite and > 0, got {getattr(self, field)!r}")
+            object.__setattr__(self, field, value)
+        if not 0 < _real(self.tau) < 100:
             raise ConfigError("tau", f"must be in (0, 100), got {self.tau!r}")
-        if not (isinstance(self.tau_min, numbers.Real) and 0 < self.tau_min <= sys.float_info.max):
-            raise ConfigError("tau_min", f"must be finite and > 0, got {self.tau_min!r}")
         for field in ("k_min", "k_max"):
-            _check_k(getattr(self, field), field)
+            object.__setattr__(self, field, _check_k(getattr(self, field), field))
         if self.k_min > self.k_max:
             raise ConfigError("k_min", "must be <= k_max")
 
@@ -72,18 +73,6 @@ def _log2(ratio: float) -> float:
     return math.log2(min(max(ratio, math.ulp(0.0)), sys.float_info.max))
 
 
-def _numbers(x) -> np.ndarray:
-    """x as an array; raises InvalidValue unless it holds integer, float or
-    complex numbers."""
-    try:
-        x = np.asarray(x)
-    except (TypeError, ValueError) as exc:
-        raise InvalidValue(f"prescale input must be numeric: {exc}") from None
-    if x.dtype.kind not in "iufc":
-        raise InvalidValue(f"prescale input must be numeric, got dtype {x.dtype}")
-    return x
-
-
 def compute_prescale(x, cfg: PrescaleConfig) -> PrescaleResult:
     """Choose the power-of-two exponent k for the array x.
 
@@ -97,9 +86,8 @@ def compute_prescale(x, cfg: PrescaleConfig) -> PrescaleResult:
     m[m <= t], a prefix of m in sorted order, is partitioned.  A candidate set
     too short to hold both ranks falls back to the whole of m.
     """
-    if not isinstance(cfg, PrescaleConfig):
-        raise ConfigError("cfg", f"must be a PrescaleConfig, got {cfg!r}")
-    x = _numbers(x)
+    _instance(cfg, PrescaleConfig, "cfg")
+    x = _numbers(x, "iufc", "prescale input must be numeric")
     if x.size == 0:
         raise InvalidValue("empty input to prescale")
     if x.dtype.kind == "i":  # np.abs wraps a signed type's minimum onto itself
@@ -149,16 +137,19 @@ def apply_prescale(x, k: int):
 
 def undo_prescale(x, k: int, out=None):
     """Exact inverse of apply_prescale(x, k), into `out` if given; raises as
-    apply_prescale does."""
+    apply_prescale does, and ConfigError for an `out` that cannot hold it."""
     return _scale(x, k, out, undo=True)
 
 
 def _scale(x, k, out=None, undo=False):
     """x times 2^k, or 2^-k to undo the prescale: the body of both."""
-    _check_k(k, "k")
-    x = _numbers(x)
+    k = _check_k(k, "k")
+    x = _numbers(x, "iufc", "prescale input must be numeric")
+    if out is not None and not (isinstance(out, np.ndarray) and out.shape == x.shape and out.flags.writeable
+                                and np.can_cast(np.result_type(x, 1.0), out.dtype, "same_kind")):
+        raise ConfigError("out", f"must be a writeable array of shape {x.shape} that holds x times 2^-k")
     try:
-        with np.errstate(over="raise"):
+        with np.errstate(over="raise", invalid="ignore"):  # a complex inf * 2^k is NaN in part
             return np.multiply(x, math.ldexp(1.0, -k if undo else k), out=out)
     except FloatingPointError:
         what = "undo of the prescale" if undo else "prescale"
