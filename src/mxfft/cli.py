@@ -17,8 +17,8 @@ import time
 from pathlib import Path
 
 from . import metrics
-from .errors import ConfigError, MxfftError, _choice, _instance
-from .fftcore import MODE_NAMES, ModeSpec, _is_pow2, make_plan
+from .errors import MAX_SIZE, ConfigError, MxfftError, _choice, _instance, _size
+from .fftcore import MODE_NAMES, ModeSpec, make_plan
 from .mri import (
     IMAGE,
     KSPACE,
@@ -77,10 +77,10 @@ class ExperimentSpec:
                 raise ConfigError(field, f"need at least one {noun}")
         for m in self.modes:
             _choice(m, MODE_NAMES, "modes", "mode")
-        for field in ("sizes", "blocks"):
+        for field, lo in (("sizes", metrics.SSIM_WINDOW), ("blocks", 2)):  # SSIM scores every size
             for n in getattr(self, field):
-                if not _is_pow2(n):
-                    raise ConfigError(field, f"{n!r} is not an integer power of two >= 2")
+                if _size(n) is None or n < lo:
+                    raise ConfigError(field, f"{n!r} is not an integer power of two in [{lo}, {MAX_SIZE}]")
         _choice(self.pipeline, ("forward", "roundtrip"), "pipeline", "pipeline")
         for seed in self.seeds:  # every size is already a valid n
             _check_phantom_fields(self.sizes[0], self.coils, seed, self.kind, self.tail, self.noise)

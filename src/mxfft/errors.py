@@ -1,10 +1,13 @@
 """Exception hierarchy shared across the package, and one reader per kind of
-public input (arrays, real numbers, names and typed configs) that raises it."""
+public input (arrays, reals, integers, sizes, names and typed configs)."""
 
 import math
 import numbers
 
 import numpy as np
+
+# The largest transform, grid and MX block size: a plan at 2^16 takes a few MiB
+MAX_SIZE = 2**16
 
 
 class MxfftError(Exception):
@@ -81,6 +84,22 @@ def _real(value) -> float:
         return float(value) if isinstance(value, numbers.Real) else math.nan
     except OverflowError:  # an integer beyond the float range
         return math.inf if value > 0 else -math.inf
+
+
+def _integer(value, field: str, lo, hi=math.inf) -> int:
+    """value as a Python int, which does not wrap as a numpy integer may, if it
+    is an integer (a bool included) in [lo, hi]; else ConfigError naming `field`."""
+    if isinstance(value, numbers.Integral) and lo <= value <= hi:
+        return int(value)
+    raise ConfigError(field, f"must be an integer in [{lo}, {hi}], got {value!r}")
+
+
+def _size(value) -> int | None:
+    """value as a Python int if it is an integer power of two in [2, MAX_SIZE], a
+    valid transform, grid or MX block size; else None, for the caller's typed error."""
+    if isinstance(value, numbers.Integral) and 2 <= value <= MAX_SIZE and not value & (value - 1):
+        return int(value)
+    return None
 
 
 def _choice(value, choices, field: str, what: str) -> str:

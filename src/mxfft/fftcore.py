@@ -35,13 +35,13 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-import numbers
 import sys
 
 import numpy as np
 
 from . import mxblock
-from .errors import ConfigError, InvalidValue, ShapeError, UnsupportedSize, _choice, _instance, _numbers
+from .errors import MAX_SIZE, ConfigError, InvalidValue, ShapeError, UnsupportedSize
+from .errors import _choice, _instance, _numbers, _size
 from .minifloat import FP16 as _FP16_FMT
 from .minifloat import FORMATS, MinifloatFormat, _quantize_inplace, get_format
 from .minifloat import quantize_array  # noqa: F401  (perfbench traces fftcore.quantize_array)
@@ -61,15 +61,16 @@ class ModeSpec:
         if kind != "mx":  # one spec per arithmetic: no format, the default block
             if self.fmt is not None:
                 raise ConfigError("fmt", f"the {kind} mode takes no format, got {self.fmt!r}")
-            if not (isinstance(block, numbers.Integral) and block == ModeSpec.block_size):
+            if _size(block) != ModeSpec.block_size:
                 raise ConfigError("block_size", f"the {kind} mode takes no block size, got {block!r}")
             return
         fmt = _instance(self.fmt, MinifloatFormat, "fmt")
         # the stage's code products sum to at most 2 * max_finite^2 (10 exponent bits overflow)
         if 2 * fmt.max_finite * fmt.max_finite > sys.float_info.max:
             raise ConfigError("fmt", f"{fmt.name}: sums of code products leave the float64 range")
-        if not _is_pow2(block):
-            raise ConfigError("block_size", f"{block!r} is not an integer power of two >= 2")
+        if (size := _size(block)) is None:
+            raise ConfigError("block_size", f"{block!r} is not an integer power of two in [2, {MAX_SIZE}]")
+        object.__setattr__(self, "block_size", size)
 
     # `block_size` in the defaults below is the field default above
     @staticmethod
@@ -106,12 +107,6 @@ def _bit_reversal(n: int) -> np.ndarray:
     return perm
 
 
-def _is_pow2(n: int) -> bool:
-    """True for the integer powers of two >= 2: the valid transform, grid and
-    MX block sizes.  False for any other value, a float such as 8.0 included."""
-    return isinstance(n, numbers.Integral) and n >= 2 and (n & (n - 1)) == 0
-
-
 class FftPlan:
     """Precomputed bit-reversal permutation, stage views and twiddles for one size.
 
@@ -127,12 +122,10 @@ class FftPlan:
     """
 
     def __init__(self, n: int, mode: ModeSpec):
-        if not _is_pow2(n):
-            raise UnsupportedSize(
-                f"transform length must be an integer power of two >= 2, got {n!r}"
-            )
+        if (size := _size(n)) is None:
+            raise UnsupportedSize(f"n must be an integer power of two in [2, {MAX_SIZE}], got {n!r}")
         _instance(mode, ModeSpec, "mode")
-        self.n = n = int(n)  # a numpy integer has no bit_length
+        self.n = n = size
         self.mode = mode
         self.stages = n.bit_length() - 1
         self.bitrev = _bit_reversal(n)
@@ -165,8 +158,8 @@ class FftPlan:
 
 def make_plan(n: int, mode: ModeSpec) -> FftPlan:
     """The plan of size n and mode, built once per process; plans are immutable."""
-    if _is_pow2(n) and isinstance(mode, ModeSpec):  # neither 8.0 (== 8) nor unhashables
-        return _cached_plan(int(n), mode)
+    if (size := _size(n)) is not None and isinstance(mode, ModeSpec):  # neither 8.0 (== 8) nor unhashables
+        return _cached_plan(size, mode)
     return FftPlan(n, mode)  # raises its typed error
 
 

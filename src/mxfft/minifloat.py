@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError, InvalidValue, _choice, _instance, _numbers
+from .errors import InvalidValue, _choice, _instance, _integer, _numbers
 
 #: Special-value conventions.
 #:   "ieee"     -- top exponent code reserved for inf/NaN (E5M2, FP16)
@@ -41,10 +41,7 @@ class MinifloatFormat:
     def __post_init__(self):
         _instance(self.name, str, "name")  # a format is hashed: plans and caches key on it
         for field, lo, hi in (("exponent_bits", 2, 10), ("mantissa_bits", 1, 52)):
-            value = getattr(self, field)
-            if not isinstance(value, (int, np.integer)) or not lo <= value <= hi:
-                raise ConfigError(field, f"must be an integer in [{lo}, {hi}], got {value!r}")
-            object.__setattr__(self, field, int(value))  # numpy integers wrap in the bit arithmetic
+            object.__setattr__(self, field, _integer(getattr(self, field), field, lo, hi))
         _choice(self.policy, POLICIES, "policy", "policy")
 
     @property

@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import numbers
 import struct
 import sys
 
 import numpy as np
 
 from .errors import (
+    MAX_SIZE,
     BadMagic,
     BadVersion,
     ConfigError,
@@ -27,9 +27,11 @@ from .errors import (
     TruncatedFile,
     _choice,
     _instance,
+    _integer,
     _real,
+    _size,
 )
-from .fftcore import FftPlan, ModeSpec, _complex_array, _is_pow2, fft_2d, make_plan
+from .fftcore import FftPlan, ModeSpec, _complex_array, fft_2d, make_plan
 from .metrics import _correlate_valid
 from .prescale import PrescaleConfig, apply_prescale, compute_prescale, undo_prescale
 
@@ -45,7 +47,7 @@ PHANTOM_NOISE = 0.1
 # tail, from 53-bit uniforms) and |sens| <= 1.5, so a pixel stays below
 # 9 + 21*tail + 20*noise < 2^6 * PHANTOM_LIMIT.  Each radix-2 stage at most
 # doubles the largest magnitude, so the FP64 k-space transform stays finite
-# up to N = 2^29, beyond any grid that fits in memory.
+# up to N = 2^29, beyond MAX_SIZE = 2^16, the largest size accepted.
 PHANTOM_LIMIT = 2.0**-64 * sys.float_info.max
 PHANTOM_KINDS = ("blobs", "bars")
 
@@ -149,10 +151,10 @@ def coil_sensitivities(n: int, coils: int, seed: int) -> np.ndarray:
     stays above 0.5 over any support; n, coils and seed follow gen_phantom's
     rule.
     """
-    _check_coil_fields(n, coils, seed)
-    rng = np.random.default_rng(int(seed) + 7919)  # a numpy seed would wrap at its type's top
+    n, coils, seed = _check_coil_fields(n, coils, seed)
+    rng = np.random.default_rng(seed + 7919)
     yy, xx = _coords(n)
-    maps = np.empty((int(coils), n, n), dtype=np.complex128)  # numpy takes no bool in a shape
+    maps = np.empty((coils, n, n), dtype=np.complex128)
     for c in range(coils):
         ang = 2.0 * np.pi * c / coils
         cx, cy = 0.6 * math.cos(ang), 0.6 * math.sin(ang)
@@ -168,24 +170,23 @@ def _coords(n: int):
     return np.meshgrid(ax, ax, indexing="ij")
 
 
-def _check_coil_fields(n, coils, seed) -> None:
-    """gen_phantom's rule for n, coils and seed: ConfigError naming the first bad one."""
-    if not _is_pow2(n):
-        raise ConfigError("n", f"must be an integer power of two >= 2, got {n!r}")
-    if not (isinstance(coils, numbers.Integral) and coils >= 1):
-        raise ConfigError("coils", f"must be an integer >= 1, got {coils!r}")
-    if not (isinstance(seed, numbers.Integral) and seed >= 0):
-        raise ConfigError("seed", f"must be an integer >= 0, got {seed!r}")
+def _check_coil_fields(n, coils, seed) -> tuple:
+    """gen_phantom's rule for n, coils and seed: the three as Python ints, or
+    ConfigError naming the first bad one."""
+    if (size := _size(n)) is None:
+        raise ConfigError("n", f"must be an integer power of two in [2, {MAX_SIZE}], got {n!r}")
+    return size, _integer(coils, "coils", 1), _integer(seed, "seed", 0)
 
 
-def _check_phantom_fields(n, coils, seed, kind, tail, noise) -> None:
-    """The phantom-parameter rule of gen_phantom and ExperimentSpec: raises
-    ConfigError naming the first bad field."""
-    _check_coil_fields(n, coils, seed)
+def _check_phantom_fields(n, coils, seed, kind, tail, noise) -> tuple:
+    """The phantom-parameter rule of gen_phantom and ExperimentSpec: (n, coils,
+    seed) as Python ints, or ConfigError naming the first bad field."""
+    ints = _check_coil_fields(n, coils, seed)
     for field, value in (("tail", tail), ("noise", noise)):
         if not 0 <= _real(value) <= PHANTOM_LIMIT:
             raise ConfigError(field, f"must be in [0, {PHANTOM_LIMIT:.7g}], got {value!r}")
     _choice(kind, PHANTOM_KINDS, "kind", "phantom kind")
+    return ints
 
 
 def _phantom_magnitude(yy, xx, kind, rng, tail):
@@ -247,7 +248,7 @@ def gen_phantom(
     `tail` and `noise` lie in [0, PHANTOM_LIMIT], which keeps the image and
     its k-space finite; a value outside raises ConfigError naming it.
     """
-    _check_phantom_fields(n, coils, seed, kind, tail, noise)
+    n, coils, seed = _check_phantom_fields(n, coils, seed, kind, tail, noise)
     rng = np.random.default_rng(seed)
     yy, xx = _coords(n)
     mag = _phantom_magnitude(yy, xx, kind, rng, tail)
@@ -302,8 +303,8 @@ def read_grid(path) -> ComplexGrid:
         raise FileFormatError(f"unknown domain code {domain_code}")
     if coils < 1:
         raise FileFormatError(f"coils: header says {coils}, need at least one")
-    if not _is_pow2(n):
-        raise FileFormatError(f"n: header says {n}, not a power of two >= 2")
+    if _size(n) is None:
+        raise FileFormatError(f"n: header says {n}, not a power of two in [2, {MAX_SIZE}]")
     expected = coils * n * n * 16
     payload = raw[_HEADER.size:]
     if len(payload) < expected:

@@ -10,23 +10,16 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import numbers
 import sys
 
 import numpy as np
 
-from .errors import ConfigError, InvalidValue, _instance, _numbers, _real
+from .errors import ConfigError, InvalidValue, _instance, _integer, _numbers, _real
 
 EPS = 1e-30  # guards log2 when peak or tail is zero
 _SAMPLE = 2048  # magnitudes in the strided sample that sets the candidate threshold
 # |k| bound of the gain 2^k, so that 2^k and 2^-k are both normal FP64
 K_LIMIT = 1022
-
-
-def _check_k(k, field: str) -> int:
-    if not (isinstance(k, numbers.Integral) and -K_LIMIT <= k <= K_LIMIT):
-        raise ConfigError(field, f"must be an integer in [{-K_LIMIT}, {K_LIMIT}], got {k!r}")
-    return int(k)  # a numpy integer would wrap when negated
 
 
 @dataclasses.dataclass(frozen=True)
@@ -38,15 +31,14 @@ class PrescaleConfig:
     k_max: int = 40
 
     def __post_init__(self):
-        for field in ("target", "tau_min"):  # stored as floats: the gain arithmetic runs in float64
+        # stored as floats: the gain and the percentile rank run in float64
+        for field, hi in (("target", math.inf), ("tau_min", math.inf), ("tau", 100)):
             value = _real(getattr(self, field))
-            if not 0 < value < math.inf:
-                raise ConfigError(field, f"must be finite and > 0, got {getattr(self, field)!r}")
+            if not 0 < value < hi:
+                raise ConfigError(field, f"must be in (0, {hi}), got {getattr(self, field)!r}")
             object.__setattr__(self, field, value)
-        if not 0 < _real(self.tau) < 100:
-            raise ConfigError("tau", f"must be in (0, 100), got {self.tau!r}")
         for field in ("k_min", "k_max"):
-            object.__setattr__(self, field, _check_k(getattr(self, field), field))
+            object.__setattr__(self, field, _integer(getattr(self, field), field, -K_LIMIT, K_LIMIT))
         if self.k_min > self.k_max:
             raise ConfigError("k_min", "must be <= k_max")
 
@@ -101,10 +93,10 @@ def compute_prescale(x, cfg: PrescaleConfig) -> PrescaleResult:
     nnz = m.size - z
     p_tau = 0.0
     if nnz:
-        # np.percentile's rank among the nonzero magnitudes, in tau's dtype;
-        # from the last rank on, it reads the last value at both ends
-        v = (nnz - 1) * np.true_divide(cfg.tau, 100)
-        lo = nnz - 1 if v >= nnz - 1 else int(np.floor(v))
+        # np.percentile's rank among the nonzero magnitudes; from the last
+        # rank on, it reads the last value at both ends
+        v = (nnz - 1) * (cfg.tau / 100)
+        lo = nnz - 1 if v >= nnz - 1 else math.floor(v)
         hi = min(lo + 1, nnz - 1)
         s = np.sort(m[:: (m.size // _SAMPLE) | 1])  # an odd stride: no grid aliasing
         # + 4: a margin where the sample holds few values up to the target rank
@@ -113,12 +105,10 @@ def compute_prescale(x, cfg: PrescaleConfig) -> PrescaleResult:
         if sub.size <= z + hi:
             sub = m
         sub.partition([z + lo, z + hi])
-        # np.quantile of the pair at gamma runs np.percentile's lerp and dtype
-        # rules; a Python tau gives a weak gamma there too
-        gamma = float(v - lo) if type(cfg.tau) in (int, float) else v - lo
         pair = sub[[z + lo, z + hi]]
-        # numpy's lerp toward an infinite upper value is NaN: read it as inf, as a_max is
-        p_tau = math.inf if math.isinf(pair[1]) else float(np.quantile(pair, gamma))
+        # np.quantile of the pair at the float v - lo runs np.percentile's lerp and
+        # dtype rules; its lerp toward an infinite upper value is NaN: read it as inf
+        p_tau = math.inf if math.isinf(pair[1]) else float(np.quantile(pair, v - lo))
     k1 = _round_half_away(_log2(cfg.target / max(a_max, EPS)))
     k2 = math.ceil(_log2(cfg.tau_min / max(p_tau, EPS)))
     k = min(max(max(k1, k2), cfg.k_min), cfg.k_max)
@@ -143,7 +133,7 @@ def undo_prescale(x, k: int, out=None):
 
 def _scale(x, k, out=None, undo=False):
     """x times 2^k, or 2^-k to undo the prescale: the body of both."""
-    k = _check_k(k, "k")
+    k = _integer(k, "k", -K_LIMIT, K_LIMIT)
     x = _numbers(x, "iufc", "prescale input must be numeric")
     if out is not None and not (isinstance(out, np.ndarray) and out.shape == x.shape and out.flags.writeable
                                 and np.can_cast(np.result_type(x, 1.0), out.dtype, "same_kind")):

@@ -121,6 +121,7 @@ class TestSpecValidation:
             (dict(noise=math.nan), "noise"),
             (dict(seeds=[0, -1]), "seed"),
             (dict(seeds=[1.5]), "seed"),
+            (dict(sizes=[8]), "sizes"),  # below the SSIM window: refused before any transform runs
         ],
     )
     def test_construction_raises_naming_the_field(self, kw, field):

@@ -12,13 +12,21 @@ stays at a few MiB: grids at most 64 on a side, at most 4 coils, plans of at
 most 2^12 points; the pool's sizes and counts are filtered to match.  File paths are
 left out (read_grid and write_grid raise OSError for them, which the CLI
 catches), as are the plain record types.
+
+run_experiment and the CLI have their own properties: small specs, and argv
+from a pool of valid and bad flag values, give finite rows, or exit code 0 or
+2 with an `error:` line and no traceback.
 """
 
+import csv
 import dataclasses
+import io
 import math
 import numbers
 import os
+import tracemalloc
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
@@ -37,6 +45,7 @@ from mxfft import (
     ModeSpec,
     MxfftError,
     PrescaleConfig,
+    UnsupportedSize,
     apply_prescale,
     coil_sensitivities,
     compute_prescale,
@@ -56,7 +65,9 @@ from mxfft import (
     undo_prescale,
     write_grid,
 )
-from mxfft.cli import ExperimentSpec
+from mxfft.cli import CSV_COLUMNS, ExperimentSpec, main, run_experiment
+from mxfft.errors import MAX_SIZE
+from mxfft.mri import _check_coil_fields
 
 HUGE = np.longdouble(2) ** 2000  # beyond the float64 range
 DTYPES = ["?", "u1", "u8", "i1", "i8", "f2", "f4", "f8", "g", "c8", "c16", "G", "S3", "U4", "O", "M8[s]", "m8[s]"]
@@ -174,7 +185,7 @@ def _table(n):
         "write_grid": (lambda grid: write_grid(grid, os.devnull), (_grid(n),), False),
         "ExperimentSpec": (ExperimentSpec, (
             st.lists(st.one_of(NAMES, ODD), min_size=1, max_size=2),
-            st.lists(st.one_of(st.sampled_from([2, 2**40]), ODD), min_size=1, max_size=2),
+            st.lists(st.one_of(st.sampled_from([16, 2**40]), ODD), min_size=1, max_size=2),
             st.lists(st.one_of(st.sampled_from([2, 32]), ODD), min_size=1, max_size=2),
             st.lists(st.one_of(st.integers(0, 10**30), ODD), min_size=1, max_size=2),
             st.sampled_from(["forward", "roundtrip"]), st.integers(1, 10**9), st.sampled_from(["blobs", "bars"]),
@@ -238,7 +249,7 @@ def test_every_public_call_returns_a_finite_result_or_raises_an_mxfft_error(name
 DATA = np.ones((1, 4, 4), dtype=complex)
 PLAN = make_plan(4, ModeSpec.reference())
 BEYOND = np.full((4, 4), HUGE)
-SPEC = dict(modes=["e4m3"], sizes=[8], blocks=[8], seeds=[0])
+SPEC = dict(modes=["e4m3"], sizes=[16], blocks=[8], seeds=[0])
 
 
 @pytest.mark.parametrize(
@@ -319,3 +330,156 @@ def test_fp16_pass_outputs_saturate():
     # the exact DC is 120000; the FP16 control's pass output saturates to 65504
     out = fft_1d([30000] * 4, make_plan(4, ModeSpec.fp16()))
     assert out[0] == 65504 and np.all(out[1:] == 0)
+
+
+def test_numpy_integers_are_read_as_python_ints():
+    ints = _check_coil_fields(np.int16(256), np.uint8(2), np.uint64(2**63))
+    assert ints == (256, 2, 2**63) and all(type(v) is int for v in ints)
+    cfg = PrescaleConfig(k_min=np.int16(-50), k_max=np.uint8(3))
+    assert (cfg.k_min, cfg.k_max) == (-50, 3) and type(cfg.k_min) is type(cfg.k_max) is int
+    assert type(ModeSpec.mx(E4M3, np.uint8(8)).block_size) is int
+    assert type(make_plan(np.int16(16), ModeSpec.reference()).n) is int
+    # an int16 n squared would wrap to 0 in the k-space scale 1/n^2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        image, kspace = gen_phantom(np.int16(256), np.uint8(1), np.uint64(5))
+    want = gen_phantom(256, 1, 5)
+    assert np.array_equal(image.data, want[0].data) and np.array_equal(kspace.data, want[1].data)
+
+
+@pytest.mark.parametrize(
+    "call, error, field",
+    [
+        (lambda: make_plan(2 * MAX_SIZE, ModeSpec.reference()), UnsupportedSize, None),
+        (lambda: make_plan(np.uint64(2**63), ModeSpec.reference()), UnsupportedSize, None),
+        (lambda: FftPlan(2 * MAX_SIZE, ModeSpec.reference()), UnsupportedSize, None),
+        (lambda: ModeSpec.mx(E4M3, 2 * MAX_SIZE), ConfigError, "block_size"),
+        (lambda: gen_phantom(2 * MAX_SIZE, 1, 0), ConfigError, "n"),
+        (lambda: coil_sensitivities(2 * MAX_SIZE, 1, 0), ConfigError, "n"),
+        (lambda: ExperimentSpec(**dict(SPEC, sizes=[2**40])), ConfigError, "sizes"),
+        (lambda: ExperimentSpec(**dict(SPEC, blocks=[2 * MAX_SIZE])), ConfigError, "blocks"),
+    ],
+)
+def test_sizes_above_the_bound_raise_without_allocating(call, error, field):
+    tracemalloc.start()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error) as exc:
+                call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert getattr(exc.value, "field", None) == field and peak < 2**20
+
+
+def _assert_finite_rows(rows):
+    """Every numeric column parses, none is NaN, and only PSNR may be +inf
+    (the reference cell scores identical images)."""
+    for row in rows:
+        assert list(row) == CSV_COLUMNS
+        for column in CSV_COLUMNS[6:]:
+            if row[column]:
+                value = float(row[column])
+                assert not math.isnan(value) and (column == "psnr" or math.isfinite(value)), row
+
+
+# small specs: grids of 16 or 32, at most 2 coils and 2 seeds, so that a run takes milliseconds
+SPECS = st.fixed_dictionaries(dict(
+    modes=st.lists(NAMES, min_size=1, max_size=2),
+    sizes=st.lists(st.sampled_from([16, 32]), min_size=1, max_size=2),
+    blocks=st.lists(st.sampled_from([2, 8, 32]), min_size=1, max_size=2),
+    seeds=st.lists(st.integers(0, 2**64), min_size=1, max_size=2),
+    pipeline=st.sampled_from(["forward", "roundtrip"]),
+    coils=st.integers(1, 2),
+    kind=st.sampled_from(["blobs", "bars"]),
+    tail=st.one_of(st.just(0.2), REALS),
+    noise=st.one_of(st.just(0.1), REALS),
+    prescale=CONFIGS,
+))
+
+
+@given(spec=SPECS)
+@settings(max_examples=40, derandomize=True, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_run_experiment_returns_finite_rows_or_raises_an_mxfft_error(spec):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            rows = run_experiment(ExperimentSpec(**spec))
+        except MxfftError:
+            return
+    _assert_finite_rows(rows)
+
+
+# per subcommand: each flag's pool of valid and bad values; "{tmp}" is the `grids` directory
+_PHANTOM_FLAGS = {
+    "--coils": ["1", "2", "0", "x"],
+    "--kind": ["blobs", "bars", "stripes"],
+    "--tail": ["0.2", "0", "-1", "nan", "1e300"],
+    "--noise": ["0.1", "0", "inf"],
+}
+_RUN_FLAGS = _PHANTOM_FLAGS | {
+    "--size": ["16", "32", "16,32", "8", "12", "1099511627776", "x", ""],
+    "--seeds": ["1", "2", "0", "-1"],
+    "--input": ["{tmp}/k16.mxcg", "{tmp}/i16.mxcg", "{tmp}/k8.mxcg", "{tmp}/missing.mxcg"],
+    "--out": ["{tmp}/out.csv", "{tmp}"],
+    "--tau": ["1", "50", "0", "100", "nan"],
+    "--tau-min": ["1e-6", "0", "1e400"],
+    "--k-min": ["-40", "-1100", "x"],
+    "--k-max": ["40", "-50"],
+    "--target": ["1", "1e300", "-1"],
+}
+FLAGS = {
+    "gen-phantom": _PHANTOM_FLAGS | {
+        "--size": ["16", "32", "4", "3", "1099511627776"],
+        "--seed": ["0", "7", "-1"],
+        "--out-image": ["{tmp}/image.mxcg", "{tmp}"],
+        "--out-kspace": ["{tmp}/kspace.mxcg"],
+    },
+    "forward": _RUN_FLAGS | {"--mode": ["e4m3", "fp16", "reference", "bogus"], "--block": ["2", "32", "3", "0"]},
+    "roundtrip": _RUN_FLAGS | {"--mode": ["e5m2", "e2m3", "x"], "--block": ["8", "6"]},
+    "sweep": _RUN_FLAGS | {
+        "--mode": ["e4m3,fp16", "e3m2", "e4m3,bogus"],
+        "--block": ["8,32", "2", "3", ""],
+        "--pipeline": ["forward", "roundtrip", "sideways"],
+    },
+}
+
+
+@pytest.fixture(scope="module")
+def grids(tmp_path_factory):
+    """A directory holding 16-point k-space and image grids and an 8-point k-space grid."""
+    tmp = tmp_path_factory.mktemp("grids")
+    for n in (16, 8):
+        image, kspace = gen_phantom(n, 1, 0)
+        write_grid(kspace, tmp / f"k{n}.mxcg")
+        write_grid(image, tmp / f"i{n}.mxcg")
+    return tmp
+
+
+@given(data=st.data())
+@settings(max_examples=80, derandomize=True, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_the_cli_exits_0_with_finite_rows_or_2_with_an_error_line(data, grids):
+    command = data.draw(st.sampled_from(sorted(FLAGS)), label="command")
+    flags = data.draw(st.lists(st.sampled_from(sorted(FLAGS[command])), max_size=5, unique=True), label="flags")
+    values = {"--size": "16"} if command == "gen-phantom" else {"--size": "16", "--seeds": "1", "--coils": "1"}
+    for flag in flags:
+        values[flag] = data.draw(st.sampled_from(FLAGS[command][flag]), label=flag).format(tmp=grids)
+    argv = [command] + [item for pair in values.items() for item in pair]
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), redirect_stdout(out), redirect_stderr(err):
+        warnings.simplefilter("error")
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the flag value
+            code = exc.code
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert "error:" in err.getvalue()
+        return
+    assert code == 0 and not err.getvalue()
+    if command != "gen-phantom":
+        csv_path = grids / "out.csv"
+        text = csv_path.read_text() if f"{grids}/out.csv" in argv else out.getvalue()
+        csv_path.unlink(missing_ok=True)
+        _assert_finite_rows(list(csv.DictReader(io.StringIO(text))))

@@ -38,6 +38,7 @@ from mxfft import (
 )
 from mxfft import fftcore
 from mxfft.cli import MODE_NAMES, ExperimentSpec
+from mxfft.errors import MAX_SIZE
 from mxfft.mri import PHANTOM_KINDS, PHANTOM_LIMIT
 
 import phantom_oracle
@@ -438,6 +439,13 @@ class TestGridIO:
         p = tmp_path / "h.mxcg"
         p.write_bytes(struct.pack("<4sIBII", b"MXCG", 1, 0, coils, n) + payload)
         with pytest.raises(FileFormatError, match=f"^{field}: "):
+            read_grid(p)
+
+    def test_header_size_beyond_the_bound(self, tmp_path):
+        # refused from the header alone, before the payload is read as a grid
+        p = tmp_path / "big.mxcg"
+        p.write_bytes(struct.pack("<4sIBII", b"MXCG", 1, 0, 1, 2 * MAX_SIZE) + bytes(16))
+        with pytest.raises(FileFormatError, match="^n: "):
             read_grid(p)
 
     def test_non_finite_payload(self, tmp_path):

@@ -371,10 +371,18 @@ class TestMatchesOracleCases:
         r = _assert_matches_oracle(x)
         assert r.a_max == -float(np.iinfo(dtype).min)
 
-    def test_numpy_typed_tau_keeps_its_dtype_rules(self, rng):
+    def test_numpy_typed_tau_is_read_as_a_float(self, rng):
         x = rng.standard_normal(20_000).astype(np.float32)
         for tau in (np.float32(1.3), np.float64(1.3), 1.3, 1, np.int64(7)):
             _assert_matches_oracle(x, PrescaleConfig(tau=tau))
+
+    def test_float16_tau_forms_no_float16_rank(self):
+        # a rank formed in float16 would overflow: 199999 * 0.5 > 65504
+        cfg = PrescaleConfig(tau=np.float16(50))
+        assert type(cfg.tau) is float and cfg.tau == 50.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _assert_matches_oracle(np.ones(200_000), cfg)
 
     def test_infinite_magnitude_of_finite_complex_input(self):
         big = 1.7e308 + 1.7e308j  # finite parts, magnitude beyond the float64 max
