@@ -1,12 +1,14 @@
 #!/usr/bin/env python3
-"""Time each stage's twiddle multiply of one plan, in process.
+"""Time each stage of one plan, its twiddle multiply and its add/sub, in process.
 
 Builds the plan of (N, mode, block) with make_plan, fills one row pass's
 carry (two float32 planes, N signals of length N, as fft_2d hands one coil
-to the stage driver) with seeded complex normal values, and calls every
-stage's multiply on its v half `--repeats` times, the stages taking turns.
-Prints the median and the quartiles per stage, in microseconds, and their
-sum.
+to the stage driver) with seeded complex normal values, and runs every
+stage `--repeats` times, the stages taking turns: the multiply t of its v
+half, then the driver's in-place add/sub, u - t into v and u + t into u.
+The add/sub writes into a second copy of the carry, so that every multiply
+reads the same values.  Prints per stage the median and the quartiles of
+the multiply and the median of the add/sub, in microseconds, and their sums.
 
     PYTHONPATH=src python3 scripts/stage_anatomy.py --n 256 --mode e4m3 --block 32
 """
@@ -21,29 +23,35 @@ from mxfft import ModeSpec, make_plan
 
 
 def stage_times(n, mode, block, direction, repeats, seed):
-    """Per stage: (shape, exact, sorted multiply times in seconds).  The
-    stages take turns, one call each per round, so that a burst of load
-    from elsewhere on the machine lands on every stage alike."""
+    """Per stage: (shape, exact, sorted multiply times, sorted add/sub times),
+    in seconds.  The stages take turns, one call each per round, so that a
+    burst of load from elsewhere on the machine lands on every stage alike."""
     plan = make_plan(n, ModeSpec.from_name(mode, block))
     if plan.dtype != np.float32:
         raise SystemExit(f"mode {mode!r} carries no float32 planes: its multiply is np.multiply")
     inverse = direction == "inverse"
     rng = np.random.default_rng(seed)
     carry = rng.standard_normal((2, n, n)).astype(np.float32)
+    work = carry.copy()
     stages = [
-        (carry.reshape(carry.shape[:1] + shape + carry.shape[2:])[:, :, :, 1], w, multiply)
+        (carry.reshape((2,) + shape + (n,))[:, :, :, 1], work.reshape((2,) + shape + (n,)), w, multiply)
         for shape, w, multiply in zip(plan.shapes, plan.twiddles[inverse], plan.multiplies[inverse])
     ]
-    times = [[] for _ in stages]
+    times = [([], []) for _ in stages]
     for r in range(repeats + 1):  # round 0 warms up
-        for (v, w, multiply), ts in zip(stages, times):
+        for (v, x, w, multiply), (mul, addsub) in zip(stages, times):
             t0 = perf_counter()
-            multiply(v, w)
+            t = multiply(v, w)
+            t1 = perf_counter()
+            np.subtract(x[:, :, :, 0], t, out=x[:, :, :, 1])
+            np.add(x[:, :, :, 0], t, out=x[:, :, :, 0])
+            t2 = perf_counter()
             if r:
-                ts.append(perf_counter() - t0)
+                mul.append(t1 - t0)
+                addsub.append(t2 - t1)
     return [
-        (shape, bool(getattr(multiply, "keywords", {}).get("exact")), sorted(ts))
-        for shape, (_, _, multiply), ts in zip(plan.shapes, stages, times)
+        (shape, bool(getattr(multiply, "keywords", {}).get("exact")), sorted(mul), sorted(addsub))
+        for shape, (_, _, _, multiply), (mul, addsub) in zip(plan.shapes, stages, times)
     ]
 
 
@@ -59,13 +67,18 @@ def main():
     rows = stage_times(args.n, args.mode, args.block, args.direction, args.repeats, args.seed)
     print(f"N={args.n} {args.mode} B={args.block} {args.direction}, "
           f"{args.repeats} calls per stage, times in us")
-    print(f"{'stage':>5}  {'view (G, K, 2, R, J)':>22}  {'exact':>5}  {'p50':>8}  {'q1':>8}  {'q3':>8}")
-    total = 0.0
-    for s, (shape, exact, times) in enumerate(rows):
-        q1, p50, q3 = (1e6 * q for q in statistics.quantiles(times, n=4))
-        total += p50
-        print(f"{s:>5}  {str(shape):>22}  {'yes' if exact else '':>5}  {p50:8.1f}  {q1:8.1f}  {q3:8.1f}")
-    print(f"{'sum':>5}  {'':>22}  {'':>5}  {total:8.1f}")
+    print(f"{'stage':>5}  {'view (G, K, 2, R, J)':>22}  {'exact':>5}  "
+          f"{'mul p50':>8}  {'q1':>8}  {'q3':>8}  {'add/sub':>8}  {'both':>8}")
+    sums = [0.0, 0.0]
+    for s, (shape, exact, mul, addsub) in enumerate(rows):
+        q1, p50, q3 = (1e6 * q for q in statistics.quantiles(mul, n=4))
+        add = 1e6 * statistics.median(addsub)
+        sums[0] += p50
+        sums[1] += add
+        print(f"{s:>5}  {str(shape):>22}  {'yes' if exact else '':>5}  "
+              f"{p50:8.1f}  {q1:8.1f}  {q3:8.1f}  {add:8.1f}  {p50 + add:8.1f}")
+    print(f"{'sum':>5}  {'':>22}  {'':>5}  {sums[0]:8.1f}  {'':>8}  {'':>8}  "
+          f"{sums[1]:8.1f}  {sum(sums):8.1f}")
 
 
 if __name__ == "__main__":

@@ -53,9 +53,9 @@ CSV_COLUMNS = [
 
 @dataclasses.dataclass(frozen=True)
 class ExperimentSpec:
-    """One sweep.  Building it checks the axes, pipeline, phantom fields (by
-    gen_phantom's rule, also when input_path is set) and prescale, and raises
-    ConfigError naming the field."""
+    """One sweep.  Building it checks the axes (one size with input_path),
+    pipeline, phantom fields (by gen_phantom's rule, also when input_path is
+    set) and prescale, and raises ConfigError naming the field."""
 
     modes: list
     sizes: list
@@ -81,6 +81,8 @@ class ExperimentSpec:
             for n in getattr(self, field):
                 if _size(n) is None or n < lo:
                     raise ConfigError(field, f"{n!r} is not an integer power of two in [{lo}, {MAX_SIZE}]")
+        if self.input_path is not None and len(set(self.sizes)) > 1:
+            raise ConfigError("sizes", f"one input file has one size, got {sorted(set(self.sizes))}")
         _choice(self.pipeline, ("forward", "roundtrip"), "pipeline", "pipeline")
         for seed in self.seeds:  # every size is already a valid n
             _check_phantom_fields(self.sizes[0], self.coils, seed, self.kind, self.tail, self.noise)
@@ -90,8 +92,8 @@ class ExperimentSpec:
 def _mean_std(vals):
     if all(v == vals[0] for v in vals):  # also covers all-inf reference cells
         return vals[0], 0.0
-    m = sum(vals) / len(vals)
-    var = sum((v - m) ** 2 for v in vals) / len(vals)
+    m = sum(vals) / len(vals)  # unequal values with an infinite one spread by inf (inf - inf is nan)
+    var = math.inf if any(map(math.isinf, vals)) else sum((v - m) ** 2 for v in vals) / len(vals)
     return m, math.sqrt(var)
 
 

@@ -111,14 +111,14 @@ class FftPlan:
     """Precomputed bit-reversal permutation, stage views and twiddles for one size.
 
     Immutable after construction; safe to share across threads.  The stage
-    driver carries `dtype` planes (one complex128 plane for the reference,
-    float32 real and imaginary planes otherwise).  shapes[s] is stage s's view
-    shape (see _stage_shape), twiddles[inverse][s] its twiddles, in the mode's
-    format at the v half's broadcast shape, and multiplies[inverse][s] its
-    twiddle multiply, called once per stage as multiply(v, w).  A quantized
-    stage whose twiddles are all 1, -1, i or -i (stage 0, and stage 1 where
-    the format flushes cos(pi/2) = 6.1e-17 to 0) gets the exact form of the
-    mode's multiply (see _unit_twiddles).
+    driver updates `dtype` planes in place, one buffer per pass (a complex128
+    plane for the reference, float32 real and imaginary planes otherwise).
+    shapes[s] is stage s's view shape (see _stage_shape), twiddles[inverse][s]
+    its twiddles, in the mode's format at the v half's broadcast shape, and
+    multiplies[inverse][s] its twiddle multiply, called once per stage as
+    multiply(v, w).  A quantized stage whose twiddles are all 1, -1, i or -i
+    (stage 0, and stage 1 where the format flushes cos(pi/2) = 6.1e-17 to 0)
+    gets the exact form of the mode's multiply (see _unit_twiddles).
     """
 
     def __init__(self, n: int, mode: ModeSpec):
@@ -207,31 +207,28 @@ def _out_of_range(kind: str) -> InvalidValue:
     )
 
 
-def _carry_pair(plan: FftPlan, values: int) -> tuple:
-    """The stage driver's two flat carry buffers, each with room for `values`
-    complex values in the plan's carry planes."""
-    planes = 1 if plan.dtype == np.complex128 else 2
-    return tuple(np.empty(planes * values, dtype=plan.dtype) for _ in range(2))
+def _carry(plan: FftPlan, values: int) -> np.ndarray:
+    """A flat stage-driver buffer for `values` complex values in carry planes."""
+    return np.empty((1 if plan.dtype == np.complex128 else 2) * values, dtype=plan.dtype)
 
 
-def _fft(src, plan: FftPlan, inverse: bool, carry) -> tuple:
+def _fft(src, plan: FftPlan, inverse: bool, carry: np.ndarray) -> np.ndarray:
     """Transforms along axis 0 of C source planes, each (n, ...).
 
     Every index of a plane's trailing axes is one length-n signal; the
     driver carries them, in C order, as the batch columns of (n, batch)
     planes.  Loads the planes in bit-reversed order (the FP16 control rounds
-    them to FP16 first) into a contiguous (C, n, batch) prefix of carry[0]
-    and runs every stage ping-ponging between it and the same prefix of
-    carry[1]: a strided slice would make the stage views' reshape copy.
-    Returns (result, free), the prefixes holding the result planes, which
-    the FP16 control quantizes to FP16 in place, saturating, and the other
-    one.  Raises InvalidValue if the result is not finite, or, in the FP16
-    control, as soon as an input, a v operand or a multiply's result rounds
-    beyond the FP16 range.
+    them to FP16 first) into the (C, n, batch) prefix of `carry`, contiguous
+    so that no stage view is a copy, and runs each butterfly in place:
+    t = multiply(v, w), then v = u - t, then u = u + t; so no stage multiply
+    may return memory shared with v.  Returns the prefix, which the FP16
+    control quantizes to FP16 in place, saturating.  Raises InvalidValue if
+    the result is not finite, or, in the FP16 control, as soon as an input,
+    a v operand or a multiply's result rounds beyond the FP16 range.
     """
     kind = plan.mode.kind
     shape = (len(src), plan.n, src[0][0].size)
-    buf, out = (b.reshape(-1)[: math.prod(shape)].reshape(shape) for b in carry)
+    buf = carry[: math.prod(shape)].reshape(shape)
     with np.errstate(over="ignore", invalid="ignore"):
         for plane, s in zip(buf, src):
             # a scatter through the bit reversal, an involution, is its gather
@@ -239,16 +236,15 @@ def _fft(src, plan: FftPlan, inverse: bool, carry) -> tuple:
         stages = zip(plan.shapes, plan.twiddles[inverse], plan.multiplies[inverse])
         for shape, w, multiply in stages:
             x = buf.reshape(buf.shape[:1] + shape + buf.shape[2:])
-            y = out.reshape(x.shape)
-            t = multiply(x[:, :, :, 1], w)
-            np.add(x[:, :, :, 0], t, out=y[:, :, :, 0])
-            np.subtract(x[:, :, :, 0], t, out=y[:, :, :, 1])
-            buf, out = out, buf
+            u, v = x[:, :, :, 0], x[:, :, :, 1]
+            t = multiply(v, w)
+            np.subtract(u, t, out=v)
+            np.add(u, t, out=u)
     if not np.isfinite(buf).all():
         raise _out_of_range(kind)
     if kind == "fp16":
         _quantize_inplace(buf, _FP16_FMT)
-    return buf, out
+    return buf
 
 
 def _planes(z: np.ndarray, plan: FftPlan) -> tuple:
@@ -483,7 +479,7 @@ def fft_1d(x, plan: FftPlan, direction: str = "forward") -> np.ndarray:
     if x.shape[0] != plan.n:
         raise ShapeError(f"expected length {plan.n}, got {x.shape[0]}")
     out = np.empty(plan.n, dtype=np.result_type(plan.dtype, np.complex64))
-    planes, _ = _fft(_planes(x, plan), plan, inverse, _carry_pair(plan, plan.n))
+    planes = _fft(_planes(x, plan), plan, inverse, _carry(plan, plan.n))
     return _join(planes[:, :, 0], out)
 
 
@@ -507,8 +503,8 @@ def fft_2d(x, plan: FftPlan, direction: str = "forward", out=None) -> np.ndarray
     x may also be a (C, N, N) stack of coils, each transformed independently
     and bit-identically to its own fft_2d.  The coils run in chunks of
     max(1, COIL_CHUNK_ELEMS // N**2), one stage-driver call per chunk and
-    pass: N=256 runs one coil per call, N=128 two, N=64 eight.  Every call
-    ping-pongs through one pair of carry buffers sized for the largest chunk.
+    pass: N=256 runs one coil per call, N=128 two, N=64 eight.  Each pass
+    updates one carry buffer, sized for the largest chunk, in place.
     The result is written to `out` if given: a writeable complex128 array of
     x's shape that is x itself or shares no memory with it.
     """
@@ -528,14 +524,15 @@ def fft_2d(x, plan: FftPlan, direction: str = "forward", out=None) -> np.ndarray
     elif out is not x and np.may_share_memory(out, x):
         raise ConfigError("out", "must be x itself or share no memory with it")
     coils = x.reshape(-1, n, n)
-    carry = _carry_pair(plan, next(_chunks(coils), coils).size)  # an empty stack has no chunk
+    values = next(_chunks(coils), coils).size  # an empty stack has no chunk
+    row_carry, col_carry = _carry(plan, values), _carry(plan, values)
     for xs, dst in zip(_chunks(coils), _chunks(out.reshape(-1, n, n))):
         c = len(xs)
         # the driver transforms along axis 0, so the row pass reads each coil
         # transposed, (l, coil, row), and returns planes (k, coil * n + row);
-        # the column pass loads them as (row, coil, k) into the free buffer
-        # and returns (k', coil * n + k), which is written to out[coil, k', k]
-        rows, free = _fft(_planes(xs.transpose(2, 0, 1), plan), plan, inverse, carry)
-        cols, _ = _fft(rows.reshape(-1, n, c, n).transpose(0, 3, 2, 1), plan, inverse, (free, rows))
+        # the column pass loads them as (row, coil, k) and returns
+        # (k', coil * n + k), which is written to out[coil, k', k]
+        rows = _fft(_planes(xs.transpose(2, 0, 1), plan), plan, inverse, row_carry)
+        cols = _fft(rows.reshape(-1, n, c, n).transpose(0, 3, 2, 1), plan, inverse, col_carry)
         _join(cols.reshape(-1, n, c, n).transpose(0, 2, 1, 3), dst)
     return out

@@ -22,6 +22,7 @@ from mxfft import (
     mri,
 )
 from mxfft.cli import CSV_COLUMNS, ExperimentSpec, build_parser, main, run_experiment, write_csv
+from mxfft.metrics import MetricsReport
 from conftest import PHANTOM
 
 
@@ -122,6 +123,7 @@ class TestSpecValidation:
             (dict(seeds=[0, -1]), "seed"),
             (dict(seeds=[1.5]), "seed"),
             (dict(sizes=[8]), "sizes"),  # below the SSIM window: refused before any transform runs
+            (dict(sizes=[16, 32], input_path="absent.mxcg"), "sizes"),  # one file has one n; not read
         ],
     )
     def test_construction_raises_naming_the_field(self, kw, field):
@@ -138,6 +140,9 @@ class TestSpecValidation:
             with pytest.raises(ConfigError) as generated:
                 gen_phantom(16, **(dict(coils=2, seed=0) | kw))
             assert str(built.value) == str(generated.value)
+
+    def test_input_path_takes_one_distinct_size(self):
+        assert _spec(sizes=[16, 16], input_path="absent.mxcg").sizes == [16, 16]
 
     def test_spec_is_frozen_and_takes_tuple_axes(self):
         spec = _spec()
@@ -232,6 +237,25 @@ class TestRunExperiment:
         mean = sum(float(r["psnr"]) for r in det) / len(det)
         assert float(agg["psnr"]) == pytest.approx(mean, rel=1e-9)
         assert agg["psnr_std"] != ""
+
+    @pytest.mark.parametrize(
+        "vals, want",
+        [
+            ([math.inf, 30.0], (math.inf, math.inf)),  # inf - inf would make the std nan
+            ([30.0, math.inf, math.inf], (math.inf, math.inf)),
+            ([math.inf, math.inf], (math.inf, 0.0)),  # the reference cells
+            ([30.0, 32.0], (31.0, 1.0)),
+        ],
+    )
+    def test_mean_std(self, vals, want):
+        assert cli._mean_std(vals) == want
+
+    def test_bit_exact_seed_beside_an_inexact_one_spreads_psnr_by_inf(self, monkeypatch):
+        psnrs = iter([math.inf, 30.0])
+        monkeypatch.setattr(cli.metrics, "report", lambda ref, out: MetricsReport(next(psnrs), 1.0, 0.0))
+        agg = _aggregates(run_experiment(_spec()))[0]
+        assert (agg["psnr"], agg["psnr_std"]) == ("inf", "inf")
+        assert "nan" not in agg.values()
 
     def test_determinism_modulo_runtime(self):
         spec = _spec(modes=["e4m3", "fp16"], seeds=[0, 1])
@@ -430,6 +454,19 @@ class TestMain:
             ["roundtrip", "--mode", "e4m3", "--size", "16", "--input", str(img)]
         )
         assert code == 0
+
+    def test_input_with_two_sizes_exits_2_before_any_transform(self, monkeypatch, tmp_path):
+        ksp, out = tmp_path / "k32.mxcg", tmp_path / "o.csv"
+        mri.write_grid(gen_phantom(32, 2, 0)[1], ksp)
+
+        def no_transform(*args):
+            raise AssertionError("a transform ran")
+
+        monkeypatch.setattr(fftcore, "_fft", no_transform)
+        argv = ["sweep", "--input", str(ksp), "--size", "32,64", "--mode", "e4m3,fp16"]
+        code, _, err = _run_main(argv + ["--block", "8,32", "--seeds", "1", "--out", str(out)])
+        assert code == 2 and err.startswith("error: sizes: ")
+        assert not out.exists()
 
     def test_gen_phantom_requires_output(self):
         code, _, err = _run_main(["gen-phantom", "--size", "16"])

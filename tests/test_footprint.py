@@ -2,10 +2,10 @@
 
 At N=256 with 4 coils a complex128 stack takes 4 MiB.  A phantom holds its
 image and k-space, a pipeline one prescaled copy of its input, and fft_2d
-one pair of carry buffers sized for one chunk (one coil at N=256).  The
-bounds are tracemalloc peaks above what was allocated when the call began,
-as multiples of the stack's bytes; each call runs once untraced first, so
-that first-call caches are not counted.
+one carry buffer per pass, updated in place and sized for one chunk (one
+coil at N=256).  The bounds are tracemalloc peaks above what was allocated
+when the call began, as multiples of the stack's bytes; each call runs once
+untraced first, so that first-call caches are not counted.
 """
 
 import tracemalloc

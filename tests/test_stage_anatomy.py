@@ -3,6 +3,8 @@
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 from mxfft import ModeSpec, make_plan
 
 _PATH = Path(__file__).resolve().parents[1] / "scripts" / "stage_anatomy.py"
@@ -14,9 +16,20 @@ _spec.loader.exec_module(stage_anatomy)
 def test_stage_times_gives_one_timed_row_per_stage():
     rows = stage_anatomy.stage_times(16, "e4m3", 8, "forward", 2, 0)
     plan = make_plan(16, ModeSpec.from_name("e4m3", 8))
-    assert [shape for shape, _, _ in rows] == list(plan.shapes)
+    assert [shape for shape, _, _, _ in rows] == list(plan.shapes)
     exact = [m.keywords.get("exact", False) for m in plan.multiplies[0]]
-    assert [e for _, e, _ in rows] == exact
+    assert [e for _, e, _, _ in rows] == exact
     assert True in exact and False in exact  # both kinds of stage are read
-    for _, _, times in rows:
-        assert len(times) == 2 and all(t > 0 for t in times)
+    for _, _, mul, addsub in rows:  # the multiply and the add/sub, each timed every round
+        for times in (mul, addsub):
+            assert len(times) == 2 and all(t > 0 for t in times)
+
+
+def test_main_reports_the_add_sub_beside_the_multiply(monkeypatch, capsys):
+    monkeypatch.setattr("sys.argv", ["stage_anatomy.py", "--n", "16", "--block", "8", "--repeats", "4"])
+    stage_anatomy.main()
+    lines = capsys.readouterr().out.splitlines()
+    assert "add/sub" in lines[1] and "both" in lines[1]
+    assert len(lines) == 2 + make_plan(16, ModeSpec.from_name("e4m3", 8)).stages + 1
+    mul, addsub, both = (float(f) for f in lines[-1].split()[1:])  # the sums
+    assert both == pytest.approx(mul + addsub, abs=0.2)

@@ -1,5 +1,6 @@
 """The reference and FP16 modes of the stage driver against their frozen
-pre-driver oracles, and the typed errors at the edge of each mode's range."""
+pre-driver oracles, the typed errors at the edge of each mode's range, and
+the aliasing rule that lets the driver run every butterfly in place."""
 
 import warnings
 
@@ -7,7 +8,9 @@ import numpy as np
 import pytest
 
 from mxfft import (
+    E4M3,
     InvalidValue,
+    MinifloatFormat,
     ModeSpec,
     PrescaleConfig,
     fft_1d,
@@ -16,6 +19,8 @@ from mxfft import (
     gen_phantom,
     make_plan,
 )
+from mxfft import fftcore
+from mxfft.fftcore import MODE_NAMES, _mx_multiply_codes
 from mxfft.mri import KSPACE, ComplexGrid
 
 import fft_oracle
@@ -110,3 +115,42 @@ def test_reference_overflow_is_a_typed_error():
     plan = make_plan(16, ModeSpec.reference())
     with pytest.raises(InvalidValue, match="float64 range"):
         fft_2d(np.full((16, 16), 1e306, dtype=complex), plan)
+
+
+# Every mode, each MX format at the smallest and the default block, and two
+# calls that take the MX code-space form: a format whose products need
+# float64, and E4M3 data far below its decoded window ([2^-83, 2^124)).
+_ALIASING_CASES = [pytest.param(ModeSpec.from_name(name), 1.0, False, id=name) for name in MODE_NAMES[:2]]
+_ALIASING_CASES += [
+    pytest.param(ModeSpec.from_name(name, b), 1.0, False, id=f"{name}-B{b}")
+    for name in MODE_NAMES[2:]
+    for b in (2, 32)
+]
+_ALIASING_CASES += [
+    pytest.param(ModeSpec.mx(MinifloatFormat("wide", 8, 23, "ieee"), 8), 1.0, True, id="wide-B8"),
+    pytest.param(ModeSpec.mx(E4M3, 8), 2.0**-100, True, id="e4m3-B8-below-window"),
+]
+
+
+@pytest.mark.parametrize("mode, scale, code_space", _ALIASING_CASES)
+def test_no_stage_multiply_returns_memory_shared_with_the_carry(monkeypatch, mode, scale, code_space):
+    # _fft computes t = multiply(v, w) and then writes u - t over v: a t that
+    # shared memory with the carry would read values the write has changed
+    calls = []
+
+    def codes(*args):
+        calls.append(args)
+        return _mx_multiply_codes(*args)
+
+    monkeypatch.setattr(fftcore, "_mx_multiply_codes", codes)
+    n, batch = 16, 3
+    plan = make_plan(n, mode)
+    carry = fftcore._carry(plan, n * batch)
+    carry[:] = np.random.default_rng(0).standard_normal(carry.shape) * scale
+    planes = carry.reshape(-1, n, batch)
+    for inverse in (0, 1):
+        for shape, w, multiply in zip(plan.shapes, plan.twiddles[inverse], plan.multiplies[inverse]):
+            v = planes.reshape(planes.shape[:1] + shape + planes.shape[2:])[:, :, :, 1]
+            assert np.shares_memory(v, carry)  # the driver's v is a view, not a copy
+            assert not np.shares_memory(multiply(v, w), carry)
+    assert bool(calls) == code_space
