@@ -17,7 +17,7 @@ import time
 from pathlib import Path
 
 from . import metrics
-from .errors import MAX_SIZE, ConfigError, MxfftError, _choice, _instance, _size
+from .errors import MAX_SIZE, ConfigError, MxfftError, _choice, _instance, _integer, _size
 from .fftcore import MODE_NAMES, ModeSpec, make_plan
 from .mri import (
     IMAGE,
@@ -254,7 +254,7 @@ def _spec_of(args, modes, blocks, pipeline) -> ExperimentSpec:
         modes=modes,
         sizes=_ints(args.size, "sizes"),
         blocks=blocks,
-        seeds=list(range(args.seeds)),
+        seeds=list(range(_integer(args.seeds, "seeds", 1, MAX_SIZE))),
         pipeline=pipeline,
         coils=args.coils,
         kind=args.kind,

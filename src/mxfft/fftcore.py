@@ -5,7 +5,7 @@ twiddle multiply applied to each butterfly's v input:
   * Reference -- FP64 throughout, the accuracy baseline: one complex128 plane.
   * MX        -- the twiddle complex multiply runs in MX block arithmetic:
                  operand blocks are encoded with a shared power-of-two scale,
-                 multiplied in mantissa space with FP32 products,
+                 multiplied in mantissa space with exact FP32 products,
                  renormalized if the product mantissas exceed the element
                  format's finite range, requantized, and decoded.  Twiddles
                  are decoded once, at plan time.  The add/sub operand u is
@@ -35,7 +35,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-import sys
 
 import numpy as np
 
@@ -46,10 +45,20 @@ from .minifloat import FP16 as _FP16_FMT
 from .minifloat import FORMATS, MinifloatFormat, _quantize_inplace, get_format
 from .minifloat import quantize_array  # noqa: F401  (perfbench traces fftcore.quantize_array)
 
+_F32 = np.finfo(np.float32)
+
 
 @dataclasses.dataclass(frozen=True)
 class ModeSpec:
-    """Arithmetic mode of a plan: "mx" (with element format), "fp16", "reference"."""
+    """Arithmetic mode of a plan: "mx" (with element format), "fp16", "reference".
+
+    An MX format's code arithmetic must be the paper's FP32: products of
+    2(M + 1) <= 24 bits whose sums of two, up to 2 * max_finite^2, stay
+    finite; that is E <= 6 and M <= 11.  Codes lie in [2^(emin - M),
+    max_finite], so products lie in [2^(2(emin - M)), max_finite^2], normal
+    float32 (2^-82 at least, in E6M11): the code-space form forms each
+    product exactly and each sum with one float32 rounding, for every block.
+    """
 
     kind: str
     fmt: MinifloatFormat = None
@@ -65,9 +74,9 @@ class ModeSpec:
                 raise ConfigError("block_size", f"the {kind} mode takes no block size, got {block!r}")
             return
         fmt = _instance(self.fmt, MinifloatFormat, "fmt")
-        # the stage's code products sum to at most 2 * max_finite^2 (10 exponent bits overflow)
-        if 2 * fmt.max_finite * fmt.max_finite > sys.float_info.max:
-            raise ConfigError("fmt", f"{fmt.name}: sums of code products leave the float64 range")
+        m, top = fmt.mantissa_bits, fmt.max_finite  # Python floats: a float32 bound vs inf warns
+        if 2 * (m + 1) > _F32.nmant + 1 or 2 * top * top > float(_F32.max):
+            raise ConfigError("fmt", f"{fmt.name}: code products are not exact in float32 (E <= 6, M <= 11)")
         if (size := _size(block)) is None:
             raise ConfigError("block_size", f"{block!r} is not an integer power of two in [2, {MAX_SIZE}]")
         object.__setattr__(self, "block_size", size)
@@ -182,7 +191,6 @@ _cached_plan = functools.lru_cache(maxsize=64)(FftPlan)
 # tests/mx_literal.py, which the tests cross-check this kernel against.
 # ---------------------------------------------------------------------------
 
-_F32 = np.finfo(np.float32)
 # per mode: the name of the transform, and the range its values must stay in
 _RANGES = {
     "reference": ("FP64 reference", "float64", float(np.finfo(np.float64).max)),
@@ -268,15 +276,15 @@ def _twiddles(w: np.ndarray, shape: tuple, mode: ModeSpec):
     w holds the R * J twiddles of one half-group, which every block row (g, k)
     of the v half shares, at the broadcast shape (1, 1, R, J, 1).  An MX
     table is (decoded, ws): the stacked (re, im) decoded twiddles, codes
-    times ws, in the product dtype, and their block scales ws, shape
-    (1, 1, R, 1, 1).  The cast is exact, as are the codes decoded / ws.
+    times ws, in float32, and their block scales ws, shape (1, 1, R, 1, 1).
+    The cast is exact, as are the codes decoded / ws.
     """
     _, _, _, r, j = shape
     w = w.reshape(1, 1, r, j, 1)
     if mode.kind == "mx":
         w = np.stack((w.real, w.imag))
         ws = mxblock.block_scales(_block_amax(w), mode.fmt)
-        return _quantize_inplace(w, mode.fmt, scale=ws).astype(_product_dtype(mode.fmt)), ws[0]
+        return _quantize_inplace(w, mode.fmt, scale=ws).astype(np.float32), ws[0]
     if mode.kind == "fp16":
         return _quantize_inplace(np.stack((w.real, w.imag)), _FP16_FMT).astype(np.float32)
     return w
@@ -340,15 +348,6 @@ def _fp16_multiply(v: np.ndarray, w, exact: bool = False) -> np.ndarray:
 _BLOCK_AXES = (0, 2, 4)  # re/im, k, j of a stacked v view (2, G, K, R, J, batch)
 
 
-def _product_dtype(fmt: MinifloatFormat):
-    """Dtype of the MX encode, mantissa product and requantize.
-
-    FP32 products are exact-range for element formats up to 16 bits; wide
-    test formats would overflow FP32 mantissa products, so they use FP64.
-    """
-    return np.float32 if 2 * (fmt.emax + 1) <= 126 else np.float64
-
-
 def _block_amax(v: np.ndarray) -> np.ndarray:
     """Per-block amax of stacked block views v (2, G, K, R, J, batch), shape
     (1, G, 1, R, 1, batch); raises InvalidValue beyond the float32 range."""
@@ -380,15 +379,14 @@ def _mx_multiply(v: np.ndarray, w, fmt: MinifloatFormat, exact: bool = False) ->
 
 def _mx_multiply_codes(v, amax, w, fmt: MinifloatFormat, exact: bool = False) -> np.ndarray:
     """_mx_multiply in code space: the one body at unit scales, on v's codes
-    in the product dtype, between one encode and one decode with float64
-    scales.  Exact for every float32 block, near the float32 limits too."""
+    in float32, between one encode and one decode with float64 scales.
+    Exact for every float32 block, near the float32 limits too (see ModeSpec)."""
     decoded, ws = w
-    ptype = _product_dtype(fmt)
     sv = mxblock.block_scales(amax, fmt)
     # exact in float64; the cast rounds only codes that the encode flushes to 0
-    codes = np.multiply(v, 1.0 / sv).astype(ptype)
-    one = ptype(1.0)
-    p = _mx_multiply_decoded(codes, (np.divide(decoded, ws, dtype=ptype), one), one, fmt, exact)
+    codes = np.multiply(v, 1.0 / sv).astype(np.float32)
+    one = np.float32(1.0)
+    p = _mx_multiply_decoded(codes, (np.divide(decoded, ws, dtype=np.float32), one), one, fmt, exact)
     # decode: one rounding of the exact product codes * scale to float32
     return np.multiply(p, ws * sv, out=np.empty(p.shape, np.float32), casting="same_kind")
 
@@ -396,8 +394,8 @@ def _mx_multiply_codes(v, amax, w, fmt: MinifloatFormat, exact: bool = False) ->
 @functools.cache
 def _decoded_scales(fmt: MinifloatFormat) -> tuple:
     """The window [lo, hi] of v's float32 block scales sv on which
-    _mx_multiply_decoded is exact; empty (lo > hi) for a format whose codes
-    and their products float32 does not carry exactly.
+    _mx_multiply_decoded is exact; not empty for any format ModeSpec takes,
+    as 3 emax - 2 emin + 2M <= 247 for each.
 
     Scaling by a power of two commutes with a float32 rounding while the
     operands and the result are normal, so the decoded form equals the
@@ -414,16 +412,14 @@ def _decoded_scales(fmt: MinifloatFormat) -> tuple:
     [2^(3 emax + 2(M - emin) - 125), 2^124): [2^-83, 2^124) for E4M3.
     """
     m, e, top = fmt.mantissa_bits, fmt.emin, fmt.emax
-    if _product_dtype(fmt) != np.float32 or 2 * (m + 1) > _F32.nmant + 1:
-        return math.inf, 0.0
     # t >= 2^(2(e - m) - top) * 2^(-1 - top) * lo >= 2^minexp, and
     # 2^(top + 4) * hi <= 2^(maxexp - 1); Python floats: float32 would overflow
     return 2.0 ** (_F32.minexp + 1 + 2 * top - 2 * (e - m)), 2.0 ** (_F32.maxexp - 5 - top)
 
 
 def _mx_multiply_decoded(v, w, sv, fmt: MinifloatFormat, exact: bool = False) -> np.ndarray:
-    """The one body of _mx_multiply, in v's dtype, with block scales sv of v
-    and a twiddle table w = (decoded, ws) in v's dtype.
+    """The one body of _mx_multiply, in float32, with block scales sv of the
+    float32 v and a twiddle table w = (decoded, ws).
 
     Every MX scale is a power of two, so an encode then decode of v is one
     rounding of v itself at exponent floor 2^emin * sv, bounded by
@@ -434,7 +430,6 @@ def _mx_multiply_decoded(v, w, sv, fmt: MinifloatFormat, exact: bool = False) ->
     multiplies; on codes every scale is 1 (_mx_multiply_codes).
     """
     (wr, wi), ws = w
-    dtype = v.dtype
     y = _quantize_inplace(v, fmt, scale=sv, out=np.empty_like(v))
     # p = (wr*y0 - wi*y1, wr*y1 + wi*y0) from two whole-array products
     p = np.multiply(y, wr)
@@ -446,8 +441,8 @@ def _mx_multiply_decoded(v, w, sv, fmt: MinifloatFormat, exact: bool = False) ->
     # renormalize by shift >= 1, the products' fitting scale over ws * sv (an
     # all-zero block keeps scale 1, which rounds it to 0 all the same)
     amax = np.abs(p, out=y).max(axis=_BLOCK_AXES, keepdims=True)
-    scale = mxblock._fit_scales(amax, fmt, dtype)
-    np.maximum(scale, np.multiply(ws, sv, dtype=dtype), out=scale)
+    scale = mxblock._fit_scales(amax, fmt)
+    np.maximum(scale, np.multiply(ws, sv, dtype=np.float32), out=scale)
     return _quantize_inplace(p, fmt, saturate=False, scale=scale)
 
 

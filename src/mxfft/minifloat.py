@@ -139,8 +139,8 @@ def _quantize_inplace(x: np.ndarray, fmt: MinifloatFormat, saturate: bool = True
     even by rint and multiplied back by step, both exact.  Saturating first
     cannot overflow; saturate=False skips it, for callers that guarantee
     |x| <= max_finite.  Every step and 1/step must be a normal value of x's
-    dtype: true in float64 for every format, and in float32 for those that
-    fftcore._product_dtype carries in float32.
+    dtype: true in float64 for every format, and in float32 for every format
+    an MX mode takes (E <= 6, M <= 11; see fftcore.ModeSpec).
 
     `scale`, powers of two of x's dtype broadcast against x (one per MX
     block), rounds to fmt's grid times scale instead: exponent floor

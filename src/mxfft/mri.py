@@ -175,7 +175,7 @@ def _check_coil_fields(n, coils, seed) -> tuple:
     ConfigError naming the first bad one."""
     if (size := _size(n)) is None:
         raise ConfigError("n", f"must be an integer power of two in [2, {MAX_SIZE}], got {n!r}")
-    return size, _integer(coils, "coils", 1), _integer(seed, "seed", 0)
+    return size, _integer(coils, "coils", 1, MAX_SIZE), _integer(seed, "seed", 0)
 
 
 def _check_phantom_fields(n, coils, seed, kind, tail, noise) -> tuple:

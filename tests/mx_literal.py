@@ -5,8 +5,9 @@ B/2 complex values) shares one power-of-two scale from the frozen
 `quant_oracle.block_scales`, and codes are rounded by the frozen
 `quant_oracle.quantize_array`.  Codes are kept as decoded element-format reals;
 bit-packing is a storage concern, not a semantic one.  `butterfly_mx` runs
-the mantissa-space product with FP32 products, renormalization and
-requantization step by step on such blocks.  The package's batched kernel
+the mantissa-space product with FP32 products (FP64 for wide test formats,
+which no MX mode takes), renormalization and requantization step by step on
+such blocks.  The package's batched kernel
 (`fftcore._mx_multiply`) must agree with it bit for bit.
 """
 
@@ -15,7 +16,6 @@ import dataclasses
 import numpy as np
 
 from mxfft import InvalidValue, MinifloatFormat, MxfftError, ShapeError
-from mxfft.fftcore import _product_dtype
 
 from quant_oracle import block_scales, quantize_array
 
@@ -114,7 +114,7 @@ def butterfly_mx(u, v, w, fmt: MinifloatFormat):
     v_blk = encode_block_mx(inter, fmt)
     x_r, x_i = mantissas_block(w_blk)
     y_r, y_i = mantissas_block(v_blk)
-    ptype = _product_dtype(fmt)
+    ptype = np.float32 if 2 * (fmt.emax + 1) <= 126 else np.float64  # float64 for wide test formats
     x_r = x_r.astype(ptype)
     x_i = x_i.astype(ptype)
     y_r = y_r.astype(ptype)

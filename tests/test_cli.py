@@ -350,6 +350,9 @@ class TestMain:
             (["--tail", "-5"], "tail"),
             (["--noise", "inf"], "noise"),
             (["--size", "12x"], "sizes"),
+            # counts beyond MAX_SIZE, before anything is allocated
+            (["--coils", "1099511627776"], "coils"),
+            (["--seeds", "1099511627776"], "seeds"),
         ],
     )
     def test_bad_value_exits_2_naming_the_field(self, flags, field):
@@ -403,7 +406,8 @@ class TestMain:
         assert err.startswith("error: blocks: ")
 
     @pytest.mark.parametrize(
-        "flags, field", [(["--tail", "nan"], "tail"), (["--seed", "-1"], "seed")]
+        "flags, field",
+        [(["--tail", "nan"], "tail"), (["--seed", "-1"], "seed"), (["--coils", "1099511627776"], "coils")],
     )
     def test_gen_phantom_bad_value_exits_2_naming_the_field(self, flags, field, tmp_path):
         out = tmp_path / "i.mxcg"

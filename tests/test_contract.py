@@ -358,6 +358,10 @@ def test_numpy_integers_are_read_as_python_ints():
         (lambda: coil_sensitivities(2 * MAX_SIZE, 1, 0), ConfigError, "n"),
         (lambda: ExperimentSpec(**dict(SPEC, sizes=[2**40])), ConfigError, "sizes"),
         (lambda: ExperimentSpec(**dict(SPEC, blocks=[2 * MAX_SIZE])), ConfigError, "blocks"),
+        # coil counts too: numpy's MemoryError or "array is too big" before
+        (lambda: gen_phantom(256, 2**40, 0), ConfigError, "coils"),
+        (lambda: coil_sensitivities(4, 2**62, 0), ConfigError, "coils"),
+        (lambda: ExperimentSpec(**dict(SPEC, coils=2**40)), ConfigError, "coils"),
     ],
 )
 def test_sizes_above_the_bound_raise_without_allocating(call, error, field):
@@ -413,14 +417,14 @@ def test_run_experiment_returns_finite_rows_or_raises_an_mxfft_error(spec):
 
 # per subcommand: each flag's pool of valid and bad values; "{tmp}" is the `grids` directory
 _PHANTOM_FLAGS = {
-    "--coils": ["1", "2", "0", "x"],
+    "--coils": ["1", "2", "0", "x", "1099511627776"],
     "--kind": ["blobs", "bars", "stripes"],
     "--tail": ["0.2", "0", "-1", "nan", "1e300"],
     "--noise": ["0.1", "0", "inf"],
 }
 _RUN_FLAGS = _PHANTOM_FLAGS | {
     "--size": ["16", "32", "16,32", "8", "12", "1099511627776", "x", ""],
-    "--seeds": ["1", "2", "0", "-1"],
+    "--seeds": ["1", "2", "0", "-1", "1099511627776"],
     "--input": ["{tmp}/k16.mxcg", "{tmp}/i16.mxcg", "{tmp}/k8.mxcg", "{tmp}/missing.mxcg"],
     "--out": ["{tmp}/out.csv", "{tmp}"],
     "--tau": ["1", "50", "0", "100", "nan"],

@@ -16,14 +16,12 @@ from pathlib import Path
 
 import numpy as np
 
-from mxfft import MinifloatFormat, ModeSpec, fft_2d, make_plan
+from mxfft import ModeSpec, fft_2d, make_plan
 from mxfft.cli import MODE_NAMES
 
 DATA = Path(__file__).parent / "data" / "fft_bits.json"
 SIZES = (2, 4, 16, 64)
 BLOCKS = (2, 32)
-# the 23-bit test format: FP64 products, and only stage 0 has exact twiddles
-WIDE = MinifloatFormat("wide", 8, 23, "ieee")
 
 
 def _modes():
@@ -34,8 +32,6 @@ def _modes():
             continue
         for b in BLOCKS:
             yield f"{name}-b{b}", ModeSpec.from_name(name, b)
-    for b in BLOCKS:
-        yield f"wide-b{b}", ModeSpec.mx(WIDE, b)
 
 
 def _part(rng, n, zeros):

@@ -33,6 +33,7 @@ import fft_oracle
 import mx_oracle
 from conftest import brute_dft
 from mx_literal import butterfly_mx, decode_block_mx, encode_block_mx
+from test_mx_kernel import E6M11
 
 WIDE = MinifloatFormat("wide", 8, 23, "ieee")
 
@@ -181,6 +182,20 @@ class TestButterflyMx:
             assert np.array_equal(y0, u32 + wv)
             assert np.array_equal(y1, u32 - wv)
 
+    def test_code_products_sum_in_float32_outside_the_decoded_window(self):
+        # N=1024, stage 9's twiddle 255, and one E4M3 block of v far below
+        # the decoded window: the twiddle code saturates at -448, and
+        # -448 * 384 = -21 * 2^13 is an E4M3 midpoint.  The other product is
+        # below 2^-24 of it, so the float32 sum rounds onto the midpoint and
+        # ties-to-even moves it a step; a float64 sum would give -2.1185229e-33.
+        w = np.exp(-2j * np.pi * np.array([255]) / 1024)
+        v = np.array([(3072 - 0.0146484375j) * 2.0**-120], dtype=np.complex64)
+        planes = np.stack((v.real, v.imag)).reshape(2, 1, 1, 1, 1, 1)
+        t = _mx_multiply(planes, _twiddles(w, (1, 1, 2, 1, 1), ModeSpec.mx(E4M3, 2)), E4M3).ravel()
+        assert t.tolist() == np.array([1.5046328e-35, -1.92593e-33], dtype=np.float32).tolist()
+        y0, _ = butterfly_mx(np.zeros(1), v, w, E4M3)
+        assert np.array_equal(y0, t[:1] + 1j * t[1:])
+
 
 class TestMxMode:
     def test_delta_exact(self):
@@ -194,13 +209,6 @@ class TestMxMode:
         X = fft_1d(np.ones(8, complex), p)
         assert X[0] == 8.0
         assert np.max(np.abs(X[1:])) <= 8 * 2.0**-4
-
-    def test_wide_format_converges_to_reference(self, rng):
-        n = 64
-        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        ref = fft_1d(x, make_plan(n, ModeSpec.reference()))
-        got = fft_1d(x, make_plan(n, ModeSpec.mx(WIDE, 32)))
-        assert rel_l2(got, ref) <= 1e-5
 
     def test_error_monotone_in_mantissa_bits(self, rng):
         n = 128
@@ -349,15 +357,33 @@ def test_a_plan_that_is_not_an_fft_plan_is_a_config_error(transform, x, plan):
         transform(x, plan)
 
 
+def test_mx_modes_take_exactly_the_formats_with_exact_float32_code_products():
+    # code products of 2(M + 1) <= 24 bits whose sums, up to 2 * max_finite^2,
+    # stay finite in float32: E <= 6 and M <= 11.  Every such format has a
+    # non-empty decoded window; the others stay valid element formats.
+    for e, m, policy in itertools.product(range(2, 11), range(1, 53), ("ieee", "extended", "finite")):
+        fmt = MinifloatFormat(f"e{e}m{m}", e, m, policy)
+        if e <= 6 and m <= 11:
+            assert ModeSpec.mx(fmt).fmt is fmt
+            lo, hi = fftcore._decoded_scales(fmt)
+            assert lo <= hi, fmt
+        else:
+            with pytest.raises(ConfigError, match=f"^fmt: e{e}m{m}: ") as exc:
+                ModeSpec.mx(fmt)
+            assert exc.value.field == "fmt"
+            assert quantize_array([1.0, 3.0], fmt).tolist() == [1.0, 3.0]
+
+
 @pytest.mark.parametrize("policy", ["ieee", "extended", "finite"])
 def test_mx_formats_whose_code_products_overflow_float64_are_rejected(policy):
     # a stage's sums of code products reach 2 * max_finite^2: beyond the
-    # float64 range with 10 exponent bits, within it with 9
+    # float64 range with 10 exponent bits; the float32 rule (E <= 6) rejects
+    # them too, and the widest accepted exponent keeps every output finite
     e10 = MinifloatFormat("e10m3", 10, 3, policy)
     with pytest.raises(ConfigError, match="^fmt: e10m3: "):
         ModeSpec.mx(e10)
     assert quantize_array([1.0, 3.0], e10).tolist() == [1.0, 3.0]  # a valid element format
-    plan = make_plan(8, ModeSpec.mx(MinifloatFormat("e9m3", 9, 3, policy)))
+    plan = make_plan(8, ModeSpec.mx(MinifloatFormat("e6m3", 6, 3, policy)))
     assert np.all(np.isfinite(fft_2d(np.ones((8, 8)), plan)))
     grid = np.random.default_rng(0).standard_normal((8, 8))
     assert np.all(np.isfinite(fft_2d(grid, plan)))
@@ -576,11 +602,11 @@ def _exact_stages(plan):
 @pytest.mark.parametrize("block", [2, 32])
 def test_exact_twiddle_stages(block):
     # stage 0 multiplies by 1; stage 1 by 1 and -i (or i), where cos(pi/2) =
-    # 6.1e-17 flushes to 0 in every format but the 23-bit one
+    # 6.1e-17 flushes to 0 in every shipped format but not in E6M11
     for name in MODE_NAMES:
         want = [] if name == "reference" else [0, 1]
         assert _exact_stages(make_plan(64, ModeSpec.from_name(name, block))) == [want, want]
-    assert _exact_stages(make_plan(64, ModeSpec.mx(WIDE, block))) == [[0], [0]]
+    assert _exact_stages(make_plan(64, ModeSpec.mx(E6M11, block))) == [[0], [0]]
     assert _exact_stages(make_plan(2, ModeSpec.fp16())) == [[0], [0]]
 
 
@@ -604,7 +630,7 @@ def _outcome(multiply, v, w, **kw):
 
 
 @given(
-    fmt=st.sampled_from([E4M3, E5M2, E2M3, E3M2, WIDE, None]),  # None: the FP16 control
+    fmt=st.sampled_from([E4M3, E5M2, E2M3, E3M2, E6M11, None]),  # None: the FP16 control
     block=st.sampled_from([2, 8, 32, 64]),
     log_n=st.integers(1, 7),
     stage=st.integers(0, 1),

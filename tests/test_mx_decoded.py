@@ -15,7 +15,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from mxfft import E2M3, E3M2, E4M3, E5M2, FP16, MinifloatFormat, ModeSpec, make_plan, mxblock
+from mxfft import E2M3, E3M2, E4M3, E5M2, FP16, ConfigError, MinifloatFormat, ModeSpec, make_plan, mxblock
 from mxfft.fftcore import (
     _F32,
     _block_amax,
@@ -25,7 +25,8 @@ from mxfft.fftcore import (
     _mx_multiply_decoded,
 )
 
-WIDE = MinifloatFormat("wide", 8, 23, "ieee")  # products in float64: never decoded
+from test_mx_kernel import E6M11  # decoded only for block amax in [2^53, 2^124)
+
 FORMATS = [E4M3, E5M2, E2M3, E3M2, FP16]
 BATCH = 3
 
@@ -67,7 +68,7 @@ def _compare(fmt, plan, inverse, s, v):
 
 
 @given(
-    fmt=st.sampled_from(FORMATS + [WIDE]),
+    fmt=st.sampled_from(FORMATS + [E6M11]),
     block=st.sampled_from([2, 8, 32, 64]),
     log_n=st.integers(1, 7),
     stage=st.integers(0, 6),
@@ -81,9 +82,7 @@ def test_decoded_form_equals_the_code_space_one(fmt, block, log_n, stage, invers
     plan = make_plan(1 << log_n, ModeSpec.mx(fmt, block))
     s = stage % plan.stages
     v = _v(np.random.default_rng(seed), plan.shapes[s], e, spread)
-    decoded = _compare(fmt, plan, inverse, s, v)
-    assert not (decoded and fmt is WIDE)
-    event("decoded" if decoded else "code space")
+    event("decoded" if _compare(fmt, plan, inverse, s, v) else "code space")
 
 
 @pytest.mark.parametrize("block", [2, 32])
@@ -105,7 +104,8 @@ def test_each_form_is_reached_on_both_sides_of_the_bounds(fmt, block):
 
 
 @pytest.mark.parametrize(
-    "fmt, lo, hi", [(E4M3, -83, 124), (E5M2, -48, 124), (E2M3, -113, 124), (E3M2, -105, 124)],
+    "fmt, lo, hi",
+    [(E4M3, -83, 124), (E5M2, -48, 124), (E2M3, -113, 124), (E3M2, -105, 124), (E6M11, 53, 124)],
     ids=lambda f: getattr(f, "name", ""),
 )
 def test_decoded_window_in_block_amax_terms(fmt, lo, hi):
@@ -116,9 +116,12 @@ def test_decoded_window_in_block_amax_terms(fmt, lo, hi):
 
 
 @pytest.mark.parametrize(
-    "fmt", [WIDE, MinifloatFormat("e7m3", 7, 3), MinifloatFormat("e4m12", 4, 12)], ids=lambda f: f.name
+    "fmt",
+    [MinifloatFormat("wide", 8, 23, "ieee"), MinifloatFormat("e7m3", 7, 3), MinifloatFormat("e4m12", 4, 12)],
+    ids=lambda f: f.name,
 )
 def test_formats_without_exact_float32_products_are_never_decoded(fmt):
-    # float64 products, or code products past 24 bits
-    lo, hi = _decoded_scales(fmt)
-    assert lo > hi
+    # float64 products, or code products past 24 bits: no MX mode takes them,
+    # so no plan reaches the decoded multiply with them
+    with pytest.raises(ConfigError, match=f"^fmt: {fmt.name}: "):
+        ModeSpec.mx(fmt)

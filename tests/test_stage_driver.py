@@ -10,7 +10,6 @@ import pytest
 from mxfft import (
     E4M3,
     InvalidValue,
-    MinifloatFormat,
     ModeSpec,
     PrescaleConfig,
     fft_1d,
@@ -24,6 +23,7 @@ from mxfft.fftcore import MODE_NAMES, _mx_multiply_codes
 from mxfft.mri import KSPACE, ComplexGrid
 
 import fft_oracle
+from test_mx_kernel import E6M11
 
 # from the format's subnormal range up to just below overflow; rows are
 # rescaled over six decades on top, so the largest magnitudes overflow at
@@ -118,8 +118,8 @@ def test_reference_overflow_is_a_typed_error():
 
 
 # Every mode, each MX format at the smallest and the default block, and two
-# calls that take the MX code-space form: a format whose products need
-# float64, and E4M3 data far below its decoded window ([2^-83, 2^124)).
+# calls that take the MX code-space form: E6M11 at unit magnitudes, below its
+# decoded window ([2^53, 2^124)), and E4M3 data far below its own ([2^-83, 2^124)).
 _ALIASING_CASES = [pytest.param(ModeSpec.from_name(name), 1.0, False, id=name) for name in MODE_NAMES[:2]]
 _ALIASING_CASES += [
     pytest.param(ModeSpec.from_name(name, b), 1.0, False, id=f"{name}-B{b}")
@@ -127,7 +127,7 @@ _ALIASING_CASES += [
     for b in (2, 32)
 ]
 _ALIASING_CASES += [
-    pytest.param(ModeSpec.mx(MinifloatFormat("wide", 8, 23, "ieee"), 8), 1.0, True, id="wide-B8"),
+    pytest.param(ModeSpec.mx(E6M11, 8), 1.0, True, id="e6m11-B8"),
     pytest.param(ModeSpec.mx(E4M3, 8), 2.0**-100, True, id="e4m3-B8-below-window"),
 ]
 
