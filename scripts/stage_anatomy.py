@@ -2,13 +2,15 @@
 """Time each stage of one plan, its twiddle multiply and its add/sub, in process.
 
 Builds the plan of (N, mode, block) with make_plan, fills one row pass's
-carry (two float32 planes, N signals of length N, as fft_2d hands one coil
-to the stage driver) with seeded complex normal values, and runs every
-stage `--repeats` times, the stages taking turns: the multiply t of its v
-half, then the driver's in-place add/sub, u - t into v and u + t into u.
-The add/sub writes into a second copy of the carry, so that every multiply
-reads the same values.  Prints per stage the median and the quartiles of
-the multiply and the median of the add/sub, in microseconds, and their sums.
+carry (fftcore._carry: N signals of length N, as fft_2d hands one coil to
+the stage driver) with seeded normal values, and runs every stage
+`--repeats` times, the stages taking turns: the driver's stage walk
+(fftcore._stages) gives the views, twiddles and multiply, and
+fftcore._butterfly, the driver's in-place add/sub, follows the multiply t
+of the v half.  The add/sub writes into a second copy of the carry, so that
+every multiply reads the same values.  Prints per stage the median and the
+quartiles of the multiply and the median of the add/sub, in microseconds,
+and their sums.
 
     PYTHONPATH=src python3 scripts/stage_anatomy.py --n 256 --mode e4m3 --block 32
 """
@@ -19,7 +21,7 @@ from time import perf_counter
 
 import numpy as np
 
-from mxfft import ModeSpec, make_plan
+from mxfft import ModeSpec, fftcore, make_plan
 
 
 def stage_times(n, mode, block, direction, repeats, seed):
@@ -27,38 +29,34 @@ def stage_times(n, mode, block, direction, repeats, seed):
     in seconds.  The stages take turns, one call each per round, so that a
     burst of load from elsewhere on the machine lands on every stage alike."""
     plan = make_plan(n, ModeSpec.from_name(mode, block))
-    if plan.dtype != np.float32:
-        raise SystemExit(f"mode {mode!r} carries no float32 planes: its multiply is np.multiply")
     inverse = direction == "inverse"
-    rng = np.random.default_rng(seed)
-    carry = rng.standard_normal((2, n, n)).astype(np.float32)
+    carry = fftcore._carry(plan, n * n)
+    carry.view(carry.real.dtype)[:] = np.random.default_rng(seed).standard_normal(2 * n * n)
+    carry = carry.reshape(-1, n, n)
     work = carry.copy()
-    stages = [
-        (carry.reshape((2,) + shape + (n,))[:, :, :, 1], work.reshape((2,) + shape + (n,)), w, multiply)
-        for shape, w, multiply in zip(plan.shapes, plan.twiddles[inverse], plan.multiplies[inverse])
-    ]
+    # per stage: the walk over the carry, whose v the multiply reads, and over the work copy
+    stages = list(zip(fftcore._stages(plan, inverse, carry), fftcore._stages(plan, inverse, work)))
     times = [([], []) for _ in stages]
     for r in range(repeats + 1):  # round 0 warms up
-        for (v, x, w, multiply), (mul, addsub) in zip(stages, times):
+        for ((_, v, w, multiply), (u_work, v_work, _, _)), (mul, addsub) in zip(stages, times):
             t0 = perf_counter()
             t = multiply(v, w)
             t1 = perf_counter()
-            np.subtract(x[:, :, :, 0], t, out=x[:, :, :, 1])
-            np.add(x[:, :, :, 0], t, out=x[:, :, :, 0])
+            fftcore._butterfly(u_work, v_work, t)
             t2 = perf_counter()
             if r:
                 mul.append(t1 - t0)
                 addsub.append(t2 - t1)
     return [
-        (shape, bool(getattr(multiply, "keywords", {}).get("exact")), sorted(mul), sorted(addsub))
-        for shape, (_, _, _, multiply), (mul, addsub) in zip(plan.shapes, stages, times)
+        (shape, exact, sorted(mul), sorted(addsub))
+        for shape, exact, (mul, addsub) in zip(plan.shapes, plan.exact, times)
     ]
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--n", type=int, default=256)
-    ap.add_argument("--mode", default="e4m3", help="an MX format name or fp16")
+    ap.add_argument("--mode", default="e4m3", help="one of: " + ", ".join(fftcore.MODE_NAMES))
     ap.add_argument("--block", type=int, default=32)
     ap.add_argument("--direction", choices=("forward", "inverse"), default="forward")
     ap.add_argument("--repeats", type=int, default=200)

@@ -54,8 +54,9 @@ CSV_COLUMNS = [
 @dataclasses.dataclass(frozen=True)
 class ExperimentSpec:
     """One sweep.  Building it checks the axes (one size with input_path),
-    pipeline, phantom fields (by gen_phantom's rule, also when input_path is
-    set) and prescale, and raises ConfigError naming the field."""
+    pipeline, phantom fields (by gen_phantom's rule at the largest size; with
+    input_path, without its bound on size) and prescale, and raises
+    ConfigError naming the field."""
 
     modes: list
     sizes: list
@@ -84,8 +85,10 @@ class ExperimentSpec:
         if self.input_path is not None and len(set(self.sizes)) > 1:
             raise ConfigError("sizes", f"one input file has one size, got {sorted(set(self.sizes))}")
         _choice(self.pipeline, ("forward", "roundtrip"), "pipeline", "pipeline")
+        # the phantoms' rule at their largest size; an input file's sweep builds none
+        n = max(self.sizes) if self.input_path is None else 2
         for seed in self.seeds:  # every size is already a valid n
-            _check_phantom_fields(self.sizes[0], self.coils, seed, self.kind, self.tail, self.noise)
+            _check_phantom_fields(n, self.coils, seed, self.kind, self.tail, self.noise)
         _instance(self.prescale, PrescaleConfig, "prescale")
 
 

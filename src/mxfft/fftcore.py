@@ -28,6 +28,18 @@ results beyond FP16's range, but saturates its pass outputs to +-65504, as
 tests/fft_oracle.py does.  MX block sizes B must be powers of two, so that
 B/2-value blocks tile every stage's half-groups.  No normalization is
 applied inside the transforms; pipelines apply 1/N**2 where needed.
+
+The reference and MX transforms are 2^k-equivariant: an input scaled by 2^k
+gives every pass value scaled by 2^k, bit for bit, while all stay normal.  A
+float64 or float32 rounding commutes with a power-of-two scaling of normal
+values, and every data or product block's MX scale is the power of two its
+amax sets, so 2^k multiplies those scales and leaves every code, renormalize
+shift and requantize as it was (_decoded_scales makes the same argument for
+the decoded form).  So the pipelines' global power-of-two prescale moves no
+MX or reference bit and only guards the range.  The FP16 control's exponent
+range is fixed: 2^k moves which values round as FP16 subnormals or overflow,
+and so its bits.  The tests pin both (test_pow2_linearity_property,
+test_prescale_moves_no_mx_or_reference_bit).
 """
 
 from __future__ import annotations
@@ -106,16 +118,6 @@ class ModeSpec:
 MODE_NAMES = ("reference", "fp16") + tuple(sorted(k for k in FORMATS if k != "fp16"))
 
 
-def _bit_reversal(n: int) -> np.ndarray:
-    """The bit-reversal permutation of range(n), n a power of two."""
-    bits = n.bit_length() - 1
-    i = np.arange(n, dtype=np.intp)
-    perm = np.zeros(n, dtype=np.intp)
-    for b in range(bits):
-        perm |= ((i >> b) & 1) << (bits - 1 - b)
-    return perm
-
-
 class FftPlan:
     """Precomputed bit-reversal permutation, stage views and twiddles for one size.
 
@@ -124,10 +126,11 @@ class FftPlan:
     plane for the reference, float32 real and imaginary planes otherwise).
     shapes[s] is stage s's view shape (see _stage_shape), twiddles[inverse][s]
     its twiddles, in the mode's format at the v half's broadcast shape, and
-    multiplies[inverse][s] its twiddle multiply, called once per stage as
-    multiply(v, w).  A quantized stage whose twiddles are all 1, -1, i or -i
-    (stage 0, and stage 1 where the format flushes cos(pi/2) = 6.1e-17 to 0)
-    gets the exact form of the mode's multiply (see _unit_twiddles).
+    exact[s] True where they are all 1, -1, i or -i in a quantized mode
+    (stage 0, and stage 1 where the format flushes cos(pi/2) = 6.1e-17 to
+    0): there the mode's `multiply` runs its exact form (see _unit_twiddles).
+    The inverse twiddles are the conjugates, and conjugation maps
+    {1, -1, i, -i} onto itself, so one flag serves both directions.
     """
 
     def __init__(self, n: int, mode: ModeSpec):
@@ -137,7 +140,7 @@ class FftPlan:
         self.n = n = size
         self.mode = mode
         self.stages = n.bit_length() - 1
-        self.bitrev = _bit_reversal(n)
+        self.bitrev = np.arange(n).reshape((2,) * self.stages).transpose().reshape(-1)
         half_tables = []
         for s in range(self.stages):
             half = 1 << s
@@ -153,16 +156,12 @@ class FftPlan:
             for tables in (half_tables, [np.conj(w) for w in half_tables])
         )
         if mode.kind == "reference":
-            self.dtype, multiply = np.complex128, np.multiply
+            self.dtype, self.multiply = np.complex128, np.multiply
         elif mode.kind == "fp16":
-            self.dtype, multiply = np.float32, _fp16_multiply
+            self.dtype, self.multiply = np.float32, _fp16_multiply
         else:
-            self.dtype, multiply = np.float32, functools.partial(_mx_multiply, fmt=mode.fmt)
-        self.multiplies = tuple(
-            [functools.partial(multiply, exact=True) if _unit_twiddles(w, mode) else multiply
-             for w in ws]
-            for ws in self.twiddles
-        )
+            self.dtype, self.multiply = np.float32, functools.partial(_mx_multiply, fmt=mode.fmt)
+        self.exact = tuple(_unit_twiddles(w, mode) for w in self.twiddles[0])
 
 
 def make_plan(n: int, mode: ModeSpec) -> FftPlan:
@@ -220,6 +219,21 @@ def _carry(plan: FftPlan, values: int) -> np.ndarray:
     return np.empty((1 if plan.dtype == np.complex128 else 2) * values, dtype=plan.dtype)
 
 
+def _stages(plan: FftPlan, inverse: bool, buf: np.ndarray):
+    """The stage walk over a (C, n, batch) carry: per stage, the u and v
+    views, the twiddles and the multiply, exact where plan.exact says so."""
+    for shape, w, exact in zip(plan.shapes, plan.twiddles[inverse], plan.exact):
+        x = buf.reshape(buf.shape[:1] + shape + buf.shape[2:])
+        multiply = functools.partial(plan.multiply, exact=True) if exact else plan.multiply
+        yield x[:, :, :, 0], x[:, :, :, 1], w, multiply
+
+
+def _butterfly(u: np.ndarray, v: np.ndarray, t: np.ndarray) -> None:
+    """A stage's add/sub, in place: v = u - t, then u = u + t."""
+    np.subtract(u, t, out=v)
+    np.add(u, t, out=u)
+
+
 def _fft(src, plan: FftPlan, inverse: bool, carry: np.ndarray) -> np.ndarray:
     """Transforms along axis 0 of C source planes, each (n, ...).
 
@@ -227,12 +241,13 @@ def _fft(src, plan: FftPlan, inverse: bool, carry: np.ndarray) -> np.ndarray:
     driver carries them, in C order, as the batch columns of (n, batch)
     planes.  Loads the planes in bit-reversed order (the FP16 control rounds
     them to FP16 first) into the (C, n, batch) prefix of `carry`, contiguous
-    so that no stage view is a copy, and runs each butterfly in place:
-    t = multiply(v, w), then v = u - t, then u = u + t; so no stage multiply
-    may return memory shared with v.  Returns the prefix, which the FP16
-    control quantizes to FP16 in place, saturating.  Raises InvalidValue if
-    the result is not finite, or, in the FP16 control, as soon as an input,
-    a v operand or a multiply's result rounds beyond the FP16 range.
+    so that no stage view is a copy, and walks the stages (_stages), each
+    butterfly in place: t = multiply(v, w), then _butterfly(u, v, t); so no
+    stage multiply may return memory shared with v.  Returns the prefix,
+    which the FP16 control quantizes to FP16 in place, saturating.  Raises
+    InvalidValue if the result is not finite, or, in the FP16 control, as
+    soon as an input, a v operand or a multiply's result rounds beyond the
+    FP16 range.
     """
     kind = plan.mode.kind
     shape = (len(src), plan.n, src[0][0].size)
@@ -241,13 +256,8 @@ def _fft(src, plan: FftPlan, inverse: bool, carry: np.ndarray) -> np.ndarray:
         for plane, s in zip(buf, src):
             # a scatter through the bit reversal, an involution, is its gather
             plane.reshape(s.shape)[plan.bitrev] = _fp16_round(np.array(s)) if kind == "fp16" else s
-        stages = zip(plan.shapes, plan.twiddles[inverse], plan.multiplies[inverse])
-        for shape, w, multiply in stages:
-            x = buf.reshape(buf.shape[:1] + shape + buf.shape[2:])
-            u, v = x[:, :, :, 0], x[:, :, :, 1]
-            t = multiply(v, w)
-            np.subtract(u, t, out=v)
-            np.add(u, t, out=u)
+        for u, v, w, multiply in _stages(plan, inverse, buf):
+            _butterfly(u, v, multiply(v, w))
     if not np.isfinite(buf).all():
         raise _out_of_range(kind)
     if kind == "fp16":

@@ -32,7 +32,7 @@ from .errors import (
     _size,
 )
 from .fftcore import FftPlan, ModeSpec, _complex_array, fft_2d, make_plan
-from .metrics import _correlate_valid
+from .metrics import _correlate_valid, _gaussian_window
 from .prescale import PrescaleConfig, apply_prescale, compute_prescale, undo_prescale
 
 KSPACE = "kspace"
@@ -49,6 +49,9 @@ PHANTOM_NOISE = 0.1
 # doubles the largest magnitude, so the FP64 k-space transform stays finite
 # up to N = 2^29, beyond MAX_SIZE = 2^16, the largest size accepted.
 PHANTOM_LIMIT = 2.0**-64 * sys.float_info.max
+# The most complex values a phantom holds, coils * n * n: 32 coils at 512^2,
+# or one at 4096^2.  Each is a 256 MiB complex128 array.
+PHANTOM_VALUES = 2**24
 PHANTOM_KINDS = ("blobs", "bars")
 
 
@@ -172,10 +175,16 @@ def _coords(n: int):
 
 def _check_coil_fields(n, coils, seed) -> tuple:
     """gen_phantom's rule for n, coils and seed: the three as Python ints, or
-    ConfigError naming the first bad one."""
+    ConfigError naming the first bad one.  The phantom may hold at most
+    PHANTOM_VALUES values: beyond, n is bad if one coil is too big, else coils."""
     if (size := _size(n)) is None:
         raise ConfigError("n", f"must be an integer power of two in [2, {MAX_SIZE}], got {n!r}")
-    return size, _integer(coils, "coils", 1, MAX_SIZE), _integer(seed, "seed", 0)
+    coils = _integer(coils, "coils", 1, MAX_SIZE)
+    if coils * size * size > PHANTOM_VALUES:
+        raise ConfigError("n" if size * size > PHANTOM_VALUES else "coils",
+                          f"coils x n x n = {coils} x {size} x {size} exceeds a phantom's "
+                          f"{PHANTOM_VALUES} complex values")
+    return size, coils, _integer(seed, "seed", 0)
 
 
 def _check_phantom_fields(n, coils, seed, kind, tail, noise) -> tuple:
@@ -212,12 +221,11 @@ def _phantom_magnitude(yy, xx, kind, rng, tail):
 
 
 # The tail texture's Gaussian blur, sigma 1, truncated at int(4*sigma + 0.5)
-# samples.  The kernel is SciPy's ndimage expression, so _blur(x) equals
+# samples.  The kernel equals SciPy's ndimage one, so _blur(x) equals
 # ndimage.gaussian_filter(x, 1.0) bit for bit (tests/test_filters.py).
 _BLUR_SIGMA = 1.0
 _BLUR_RADIUS = int(4.0 * _BLUR_SIGMA + 0.5)
-_BLUR_KERNEL = np.exp(-0.5 / _BLUR_SIGMA**2 * np.arange(-_BLUR_RADIUS, _BLUR_RADIUS + 1) ** 2)
-_BLUR_KERNEL /= _BLUR_KERNEL.sum()
+_BLUR_KERNEL = _gaussian_window(2 * _BLUR_RADIUS + 1, _BLUR_SIGMA)
 
 
 def _blur(x: np.ndarray) -> np.ndarray:

@@ -144,6 +144,14 @@ class TestSpecValidation:
     def test_input_path_takes_one_distinct_size(self):
         assert _spec(sizes=[16, 16], input_path="absent.mxcg").sizes == [16, 16]
 
+    def test_phantom_bound_takes_the_largest_size_and_spares_input_files(self):
+        # 4 coils at 4096^2 exceed PHANTOM_VALUES, one coil does not; a file's
+        # sweep builds no phantom, so its coil count bounds nothing
+        assert _spec(sizes=[4096, 16], coils=1).sizes == [4096, 16]
+        with pytest.raises(ConfigError, match=r"^coils: coils x n x n = 4 x 4096 x 4096 "):
+            _spec(sizes=[16, 4096], coils=4)
+        assert _spec(sizes=[8192], coils=4, input_path="absent.mxcg").coils == 4
+
     def test_spec_is_frozen_and_takes_tuple_axes(self):
         spec = _spec()
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -353,12 +361,14 @@ class TestMain:
             # counts beyond MAX_SIZE, before anything is allocated
             (["--coils", "1099511627776"], "coils"),
             (["--seeds", "1099511627776"], "seeds"),
+            # a phantom beyond PHANTOM_VALUES: numpy's MemoryError and a traceback before
+            (["--size", "65536", "--coils", "1"], "n"),
         ],
     )
     def test_bad_value_exits_2_naming_the_field(self, flags, field):
         code, _, err = _run_main(["forward", "--size", "16", "--seeds", "1", *flags])
         assert code == 2
-        assert err.startswith(f"error: {field}: ")
+        assert err.startswith(f"error: {field}: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("noise, field", [("1e308", "noise: "), ("1e200", "rss: ")])
     def test_overflowing_noise_exits_2_without_a_warning(self, noise, field):
@@ -407,7 +417,8 @@ class TestMain:
 
     @pytest.mark.parametrize(
         "flags, field",
-        [(["--tail", "nan"], "tail"), (["--seed", "-1"], "seed"), (["--coils", "1099511627776"], "coils")],
+        [(["--tail", "nan"], "tail"), (["--seed", "-1"], "seed"), (["--coils", "1099511627776"], "coils"),
+         (["--size", "65536", "--coils", "1"], "n")],
     )
     def test_gen_phantom_bad_value_exits_2_naming_the_field(self, flags, field, tmp_path):
         out = tmp_path / "i.mxcg"

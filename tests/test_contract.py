@@ -362,6 +362,11 @@ def test_numpy_integers_are_read_as_python_ints():
         (lambda: gen_phantom(256, 2**40, 0), ConfigError, "coils"),
         (lambda: coil_sensitivities(4, 2**62, 0), ConfigError, "coils"),
         (lambda: ExperimentSpec(**dict(SPEC, coils=2**40)), ConfigError, "coils"),
+        # phantoms beyond PHANTOM_VALUES: numpy's MemoryError before
+        (lambda: gen_phantom(2**16, 1, 0), ConfigError, "n"),
+        (lambda: gen_phantom(256, 2**16, 0), ConfigError, "coils"),
+        (lambda: coil_sensitivities(2**16, 1, 0), ConfigError, "n"),
+        (lambda: ExperimentSpec(**dict(SPEC, sizes=[16, 2**16])), ConfigError, "n"),
     ],
 )
 def test_sizes_above_the_bound_raise_without_allocating(call, error, field):

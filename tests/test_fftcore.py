@@ -27,7 +27,7 @@ from mxfft import (
 )
 from mxfft import cli, fftcore
 from mxfft.cli import MODE_NAMES
-from mxfft.fftcore import _bit_reversal, _mx_multiply, _twiddles
+from mxfft.fftcore import _mx_multiply, _twiddles
 
 import fft_oracle
 import mx_oracle
@@ -44,8 +44,8 @@ def rel_l2(a, b):
 
 class TestPlan:
     def test_bit_reversal_matches_loop(self):
-        for n in (1 << b for b in range(1, 13)):
-            perm = _bit_reversal(n)
+        for n in (1 << b for b in range(1, 17)):
+            perm = FftPlan(n, ModeSpec.reference()).bitrev
             assert perm.dtype == np.intp
             assert np.array_equal(perm, mx_oracle._bit_reversal(n))
 
@@ -594,9 +594,11 @@ def test_one_out_of_range_coil_raises_as_it_does_alone(name, big, rng):
 
 
 def _exact_stages(plan):
-    """Per direction, the stages that run the exact form of the multiply."""
-    return [[s for s, m in enumerate(ms) if getattr(m, "keywords", {}).get("exact")]
-            for ms in plan.multiplies]
+    """The stages that run the exact form of the multiply, in both directions;
+    the inverse twiddles, the conjugates, give the same stages."""
+    stages = [s for s, exact in enumerate(plan.exact) if exact]
+    assert stages == [s for s, w in enumerate(plan.twiddles[1]) if fftcore._unit_twiddles(w, plan.mode)]
+    return stages
 
 
 @pytest.mark.parametrize("block", [2, 32])
@@ -605,9 +607,9 @@ def test_exact_twiddle_stages(block):
     # 6.1e-17 flushes to 0 in every shipped format but not in E6M11
     for name in MODE_NAMES:
         want = [] if name == "reference" else [0, 1]
-        assert _exact_stages(make_plan(64, ModeSpec.from_name(name, block))) == [want, want]
-    assert _exact_stages(make_plan(64, ModeSpec.mx(E6M11, block))) == [[0], [0]]
-    assert _exact_stages(make_plan(2, ModeSpec.fp16())) == [[0], [0]]
+        assert _exact_stages(make_plan(64, ModeSpec.from_name(name, block))) == want
+    assert _exact_stages(make_plan(64, ModeSpec.mx(E6M11, block))) == [0]
+    assert _exact_stages(make_plan(2, ModeSpec.fp16())) == [0]
 
 
 def _stage_v(rng, plan, s, e):
@@ -645,7 +647,7 @@ def test_exact_multiply_equals_the_requantizing_one(fmt, block, log_n, stage, in
     # the sign of zero included, and raises where the full multiply raises
     mode = ModeSpec.fp16() if fmt is None else ModeSpec.mx(fmt, block)
     plan = make_plan(1 << log_n, mode)
-    assume(stage in _exact_stages(plan)[inverse])
+    assume(stage < plan.stages and plan.exact[stage])
     w = plan.twiddles[inverse][stage]
     v = _stage_v(np.random.default_rng(seed), plan, stage, e)
     kw = {} if fmt is None else {"fmt": fmt}

@@ -44,16 +44,11 @@ def _v(rng, shape, e, spread):
     return np.clip(v, -_F32.max, _F32.max).astype(np.float32)
 
 
-def _exact(plan, inverse, s):
-    return bool(getattr(plan.multiplies[inverse][s], "keywords", {}).get("exact"))
-
-
 def _compare(fmt, plan, inverse, s, v):
     """Asserts both forms' bits agree where the decoded one runs; returns
     whether it ran.  Runs under the stage driver's errstate: near the float32
     limit the code-space decode overflows to inf, which the driver reports."""
-    w = plan.twiddles[inverse][s]
-    exact = _exact(plan, inverse, s)
+    w, exact = plan.twiddles[inverse][s], plan.exact[s]
     amax = _block_amax(v)
     sv = mxblock.block_scales(amax, fmt, np.float32)
     lo, hi = _decoded_scales(fmt)

@@ -16,9 +16,12 @@ from mxfft import (
     apply_prescale,
     compute_prescale,
     forward_pipeline,
+    gen_phantom,
     make_plan,
+    mri,
     undo_prescale,
 )
+from mxfft.fftcore import MODE_NAMES
 from mxfft.prescale import _SAMPLE
 
 CFG = PrescaleConfig()
@@ -209,6 +212,28 @@ def test_pow2_input_shifts_k1(j):
     base = compute_prescale(x, CFG)
     shifted = compute_prescale(apply_prescale(x, j), CFG)
     assert shifted.k1 == base.k1 - j
+
+
+@pytest.mark.parametrize("n, seed", [(16, 0), (32, 1)])
+def test_prescale_moves_no_mx_or_reference_bit(n, seed):
+    # every MX scale is a power of two, so 2^k moves no code, and float32 and
+    # float64 roundings commute with 2^k while values stay normal: the
+    # pipelines' pixels are those at k = 0.  The FP16 control's fixed
+    # exponent range is what the prescale guards, and its pixels move.
+    image, kspace = gen_phantom(n, 2, seed)
+    modes = [ModeSpec.reference()] + [ModeSpec.from_name(m, b) for m in MODE_NAMES[2:] for b in (2, 8, 32)]
+    for grid in (kspace, image):
+        for mode in modes + [ModeSpec.fp16()]:
+            plan = make_plan(n, mode)
+            want = mri._pipeline(grid, plan, 0).pixels.view(np.uint64)
+            same = []
+            for k in (-40, -20, -5, 3, 17, 40):
+                try:
+                    same.append(np.array_equal(mri._pipeline(grid, plan, k).pixels.view(np.uint64), want))
+                except InvalidValue:  # only the FP16 control leaves its range
+                    assert mode.kind == "fp16"
+                    same.append(False)
+            assert all(same) if mode.kind != "fp16" else not any(same[:2]), (mode, grid.domain, same)
 
 
 class TestApplyOverflow:

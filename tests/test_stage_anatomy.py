@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from mxfft import ModeSpec, make_plan
+from mxfft import ModeSpec, fftcore, make_plan
 
 _PATH = Path(__file__).resolve().parents[1] / "scripts" / "stage_anatomy.py"
 _spec = importlib.util.spec_from_file_location("stage_anatomy", _PATH)
@@ -17,12 +17,21 @@ def test_stage_times_gives_one_timed_row_per_stage():
     rows = stage_anatomy.stage_times(16, "e4m3", 8, "forward", 2, 0)
     plan = make_plan(16, ModeSpec.from_name("e4m3", 8))
     assert [shape for shape, _, _, _ in rows] == list(plan.shapes)
-    exact = [m.keywords.get("exact", False) for m in plan.multiplies[0]]
-    assert [e for _, e, _, _ in rows] == exact
-    assert True in exact and False in exact  # both kinds of stage are read
+    assert tuple(e for _, e, _, _ in rows) == plan.exact
+    assert True in plan.exact and False in plan.exact  # both kinds of stage are read
     for _, _, mul, addsub in rows:  # the multiply and the add/sub, each timed every round
         for times in (mul, addsub):
             assert len(times) == 2 and all(t > 0 for t in times)
+
+
+@pytest.mark.parametrize("mode", ["reference", "fp16", "e4m3"])
+def test_stage_times_runs_the_driver_add_sub_in_every_mode(monkeypatch, mode):
+    # the tool times the stage driver's own add/sub, the reference mode's too
+    calls, butterfly = [], fftcore._butterfly
+    monkeypatch.setattr(fftcore, "_butterfly", lambda u, v, t: calls.append(u.dtype) or butterfly(u, v, t))
+    rows = stage_anatomy.stage_times(16, mode, 8, "inverse", 2, 0)
+    plan = make_plan(16, ModeSpec.from_name(mode, 8))
+    assert len(rows) == plan.stages and calls == [plan.dtype] * 3 * plan.stages  # a warm-up and 2 rounds
 
 
 def test_main_reports_the_add_sub_beside_the_multiply(monkeypatch, capsys):

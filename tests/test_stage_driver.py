@@ -147,10 +147,8 @@ def test_no_stage_multiply_returns_memory_shared_with_the_carry(monkeypatch, mod
     plan = make_plan(n, mode)
     carry = fftcore._carry(plan, n * batch)
     carry[:] = np.random.default_rng(0).standard_normal(carry.shape) * scale
-    planes = carry.reshape(-1, n, batch)
     for inverse in (0, 1):
-        for shape, w, multiply in zip(plan.shapes, plan.twiddles[inverse], plan.multiplies[inverse]):
-            v = planes.reshape(planes.shape[:1] + shape + planes.shape[2:])[:, :, :, 1]
+        for _, v, w, multiply in fftcore._stages(plan, inverse, carry.reshape(-1, n, batch)):
             assert np.shares_memory(v, carry)  # the driver's v is a view, not a copy
             assert not np.shares_memory(multiply(v, w), carry)
     assert bool(calls) == code_space
